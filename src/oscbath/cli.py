@@ -170,6 +170,14 @@ def build_runconfig(raw: dict, overrides=()) -> RunConfig:
         raise ConfigError("oracle_scheme must be 'uniform' or 'gauss'")
     if values["lindblad_frequency"] not in ("shifted", "bare"):
         raise ConfigError("lindblad_frequency must be 'shifted' or 'bare'")
+    for key, floor in (("n_points", 15), ("t_max_gamma", 0.0), ("t_max_abs", 0.0),
+                       ("density_t_max_gamma", 0.0)):
+        if values[key] is not None and not values[key] > floor:
+            raise ConfigError(f"{key} must exceed {floor}, got {values[key]!r}")
+    try:
+        OscillatorState(c11=values["c11"], c10=complex(values["re_c10"], values["im_c10"]))
+    except ValueError as exc:
+        raise ConfigError(f"invalid initial state: {exc}") from exc
     return RunConfig(values)
 
 

@@ -210,7 +210,13 @@ def test_csv_outputs_are_bit_stable(cfg_path, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_override_validation(cfg_path, tmp_path, capsys):
-    assert run(["pole", "--config", cfg_path, "--out", tmp_path / "out",
-                "--override", "nonsense"]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("command, override", [
+    ("pole", "nonsense"),
+    ("density", "c11=2"),
+    ("survival", "n_points=8"),
+    ("survival", "t_max_gamma=-1"),
+])
+def test_override_validation(cfg_path, tmp_path, capsys, command, override):
+    assert run([command, "--config", cfg_path, "--out", tmp_path / "out",
+                "--override", override]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
