@@ -56,7 +56,6 @@ from .selfenergy import (
     alpha,
     alpha_boundary,
     find_resonance,
-    grid_refine_resonance,
     perturbative_resonance,
     principal_value,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "spectral_weight_analytic", "spectral_weight_derivative", "spectral_moment",
     "Sheet", "Side", "SheetPoint", "Resonance", "alpha", "alpha_boundary",
     "principal_value", "perturbative_resonance", "find_resonance",
-    "grid_refine_resonance",
     "Method", "AmplitudeSeries", "PhaseReport", "ZenoFit", "hybrid_time_grid",
     "amplitude_spectral", "amplitude_pole_background", "survival_probability",
     "zeno_slope", "khalfin_exponent", "crossover_times", "sum_rule",

@@ -4,8 +4,11 @@ Subcommands: pole | survival | density | oracle | sweep.  Each reads a flat
 key=value config file (one key per line, ``#`` comments), writes CSV/JSON
 artifacts into the output directory, and prints the JSON report to stdout.
 Exit codes: 0 success, 2 config, 3 solver, 4 dual-method disagreement,
-5 density invariant, 6 rate ordering.  Failures emit a machine-readable
-JSON object on stderr.
+5 density invariant, 6 rate ordering, and 1 for any other
+:class:`OscBathError` (for example ``QuadratureFailure``,
+``OscillationUnderResolved``, ``PoleOnRay`` or ``WindowBeforeCrossover``).
+Failures emit a machine-readable JSON object on stderr whose ``error`` field
+names the class.
 
 All quadrature in the production path is deterministic, so reruns with the
 same config are byte-identical.

@@ -202,6 +202,18 @@ def spectral_weight_derivative(model: ModelParams, z):
     return out
 
 
+def spectral_weight_jet(model: ModelParams, w):
+    """g2, g2' and g2'' at real w > 0 in closed form; scalars or arrays.
+
+    With d = n/w - 2w/cutoff^2 (the log-derivative of g2) they are g2,
+    g2*d and g2*(d^2 - n/w^2 - 2/cutoff^2).
+    """
+    n, k2 = model.exponent, model.cutoff**2
+    g2 = model.prefactor * w**n * np.exp(-((w / model.cutoff) ** 2))
+    d = n / w - 2.0 * w / k2
+    return g2, g2 * d, g2 * (d * d - n / w**2 - 2.0 / k2)
+
+
 def spectral_moment(model: ModelParams, k: int = 0) -> float:
     """Closed form of int_0^inf w^k g2(w) dw.
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import QuadratureFailure
-from .model import ModelParams, QuadConfig, spectral_weight
+from .model import ModelParams, QuadConfig, spectral_weight, spectral_weight_jet
 
 __all__ = [
     "gauss_panels",
@@ -25,7 +25,6 @@ __all__ = [
     "MasterGrid",
     "master_grid",
     "pv_integral_many",
-    "cauchy_pv",
     "adaptive_complex_quad",
 ]
 
@@ -119,21 +118,15 @@ def pv_integral_many(model: ModelParams, omegas, quad_cfg: QuadConfig,
     Singularity subtraction: the smooth quotient (g2(x) - g2(w))/(w - x) is
     integrated on the master grid and the extracted logarithm
     g2(w) * ln(w / (T - w)) is added back.  Nodes closer to w than a small
-    threshold switch to the Taylor form of the quotient to avoid 0/0.
+    threshold switch to the closed-form Taylor form of the quotient to avoid 0/0.
     """
-    from .model import spectral_weight_derivative
-
     if grid is None:
         grid = master_grid(model, quad_cfg)
     om = np.atleast_1d(np.asarray(omegas, dtype=float))
     if np.any(om <= 0) or np.any(om >= grid.T):
         raise ValueError("principal-value point must lie strictly inside (0, T)")
     out = np.empty(om.shape)
-    g2om = spectral_weight(model, om)
-    d1 = np.real(spectral_weight_derivative(model, om.astype(complex)))
-    # second derivative by central differences; only damps the near-node Taylor term
-    h2 = 1e-4 * max(1.0, model.cutoff)
-    d2 = (spectral_weight(model, om + h2) - 2.0 * g2om + spectral_weight(model, np.maximum(om - h2, 0.0))) / h2**2
+    g2om, d1, d2 = spectral_weight_jet(model, om)
     delta = 1e-6 * np.maximum(1.0, om)
     chunk = max(1, int(2_000_000 // max(grid.x.size, 1)))
     for i in range(0, om.size, chunk):
@@ -149,34 +142,6 @@ def pv_integral_many(model: ModelParams, omegas, quad_cfg: QuadConfig,
     if np.isscalar(omegas) or np.ndim(omegas) == 0:
         return float(out[0])
     return out
-
-
-def cauchy_pv(f, x0: float, a: float, b: float, fprime=None, n: int = 24,
-              panels: int = 24) -> float:
-    """PV int_a^b f(x)/(x0 - x) dx for a < x0 < b and smooth f.
-
-    Generic-weight variant of the subtraction rule, used for synthetic
-    integrands in validation work.  ``fprime`` supplies f'(x0); omitted, it
-    is taken by central differences.
-    """
-    if not (a < x0 < b):
-        raise ValueError("x0 must be interior to (a, b)")
-    if fprime is None:
-        h = 1e-6 * max(1.0, abs(x0))
-        df = (f(x0 + h) - f(x0 - h)) / (2.0 * h)
-    else:
-        df = fprime(x0)
-    bounds = np.unique(np.concatenate([
-        np.linspace(a, x0, panels // 2 + 1), np.linspace(x0, b, panels // 2 + 1)
-    ]))
-    x, w = gauss_panels(bounds, n)
-    f0 = f(x0)
-    diff = x0 - x
-    small = np.abs(diff) < 1e-9 * max(1.0, abs(x0))
-    quot = np.empty_like(x)
-    quot[~small] = (np.asarray([f(xi) for xi in x[~small]]) - f0) / diff[~small]
-    quot[small] = -df
-    return float(quot @ w + f0 * np.log((x0 - a) / (b - x0)))
 
 
 def adaptive_complex_quad(f, a: float, b: float, quad_cfg: QuadConfig,

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NoConvergence, OnCut, PoleInUpperHalfPlane
 from .model import (
@@ -36,6 +35,7 @@ from .model import (
     spectral_weight,
     spectral_weight_analytic,
     spectral_weight_derivative,
+    spectral_weight_jet,
 )
 from .quadrature import adaptive_complex_quad, pv_integral_many
 
@@ -93,39 +93,62 @@ class Resonance:
         return -2.0 * self.z0.imag
 
 
-def _resolvent_integral(model: ModelParams, z: complex, quad_cfg: QuadConfig,
-                        abs_tol: float | None = None) -> complex:
-    """int_0^T g2(w)/(z - w) dw by adaptive quadrature, z off the cut.
+def _resolvent(model: ModelParams, z: complex, quad_cfg: QuadConfig,
+               abs_tol: float | None, power: int) -> complex:
+    """int_0^T g2(w)/(z - w)**power dw for power 1 or 2 by adaptive quadrature.
 
-    When Re z lies inside the integration range the value of g2 there is
-    subtracted and integrated back in closed form, so the integrand stays
-    bounded however close z comes to the cut.
+    When Re z lies inside the integration range, g2(c) + g2'(c)(w - c) at
+    c = Re z is subtracted and integrated back in closed form, so the
+    integrand stays bounded however close z comes to the cut.  Im z = 0 is
+    the boundary value from below.
     """
     T = quad_cfg.truncation(model)
     c = z.real
-    if 0.0 < c < T:
-        b = abs(z.imag)
-        if b < 1e-9 * max(1.0, abs(c)):
-            # boundary-value limit; approaching from below unless told otherwise
-            side = 1.0 if z.imag <= 0.0 else -1.0
-            pv = float(pv_integral_many(model, c, quad_cfg))
-            return pv + side * 1j * math.pi * spectral_weight(model, c)
-        g2c = spectral_weight(model, c)
-        g2p = complex(spectral_weight_derivative(model, complex(c, 0.0))).real
-        pts = sorted({min(max(p, T * 1e-12), T * (1 - 1e-12))
-                      for p in (c - 10 * b, c, c + 10 * b)})
-        smooth = adaptive_complex_quad(
-            lambda w: (spectral_weight(model, w) - g2c - g2p * (w - c)) / (z - w),
-            0.0, T, quad_cfg, points=pts, abs_tol=abs_tol,
+    if not 0.0 < c < T:
+        return adaptive_complex_quad(
+            lambda w: spectral_weight(model, w) / (z - w) ** power, 0.0, T, quad_cfg,
+            abs_tol=abs_tol,
         )
-        # int_0^T dw/(z-w) = ln z - ln(z-T); Im z != 0 keeps one branch
+    b = abs(z.imag)
+    g2c, g2p, g2pp = spectral_weight_jet(model, c)
+    near = 1e-5 * min(c, T - c)
+
+    def smooth(w):
+        u = w - c
+        num = spectral_weight(model, w) - g2c - g2p * u
+        if power == 2:
+            # within |w - c| << c the numerator is rounding noise that 1/(z - w)^2
+            # would magnify; its leading Taylor term is exact to O(u^4) there
+            num = np.where(np.abs(u) < near, 0.5 * g2pp * u * u, num)
+        return num / (z - w) ** power
+
+    pts = sorted({min(max(p, T * 1e-12), T * (1 - 1e-12))
+                  for p in (c - 10 * b, c, c + 10 * b)})
+    integral = adaptive_complex_quad(smooth, 0.0, T, quad_cfg, points=pts, abs_tol=abs_tol)
+    # int_0^T dw/(z - w) = ln z - ln(z - T); on the cut, the branch from below
+    if b == 0.0:
+        log_term = complex(math.log(c / (T - c)), math.pi)
+    else:
         log_term = np.log(complex(z)) - np.log(complex(z - T))
-        linear = 1j * z.imag * log_term - T
-        return smooth + g2c * log_term + g2p * linear
-    return adaptive_complex_quad(
-        lambda w: spectral_weight(model, w) / (z - w), 0.0, T, quad_cfg,
-        points=None, abs_tol=abs_tol,
-    )
+    if power == 1:
+        return integral + g2c * log_term + g2p * (1j * z.imag * log_term - T)
+    inv_term = 1.0 / (z - T) - 1.0 / z
+    return integral + g2c * inv_term + g2p * (1j * z.imag * inv_term - log_term)
+
+
+def _alpha(model: ModelParams, z: complex, sheet: Sheet, quad_cfg: QuadConfig,
+           abs_tol: float | None = None, derivative: bool = False) -> complex:
+    """alpha (or d alpha/dz) on ``sheet``; Im z = 0 is the limit from below."""
+    lam2 = model.lam**2
+    if derivative:
+        value = 1.0 + lam2 * _resolvent(model, z, quad_cfg, abs_tol, 2)
+        residue = spectral_weight_derivative
+    else:
+        value = z - model.omega_bare - lam2 * _resolvent(model, z, quad_cfg, abs_tol, 1)
+        residue = spectral_weight_analytic
+    if sheet is Sheet.SECOND_II:
+        value += 2j * math.pi * lam2 * residue(model, z)
+    return value
 
 
 def alpha(model: ModelParams, point: SheetPoint, quad_cfg: QuadConfig | None = None,
@@ -135,10 +158,7 @@ def alpha(model: ModelParams, point: SheetPoint, quad_cfg: QuadConfig | None = N
     z = complex(point.z)
     if z.imag == 0.0 and z.real >= 0.0:
         raise OnCut("alpha is discontinuous on [0, inf); use alpha_boundary")
-    value = z - model.omega_bare - model.lam**2 * _resolvent_integral(model, z, quad_cfg, abs_tol)
-    if point.sheet is Sheet.SECOND_II:
-        value += 2j * math.pi * model.lam**2 * spectral_weight_analytic(model, z)
-    return value
+    return _alpha(model, z, point.sheet, quad_cfg, abs_tol)
 
 
 def alpha_boundary(model: ModelParams, omega: float, side: Side = Side.PLUS,
@@ -170,54 +190,6 @@ def perturbative_resonance(model: ModelParams, quad_cfg: QuadConfig | None = Non
     shift = model.lam**2 * pv_integral_many(model, model.omega_bare, quad_cfg)
     half_width = math.pi * model.lam**2 * spectral_weight(model, model.omega_bare)
     return complex(model.omega_bare + shift, -half_width)
-
-
-def _alpha_second(model: ModelParams, z: complex, quad_cfg: QuadConfig,
-                  abs_tol: float) -> complex:
-    base = z - model.omega_bare - model.lam**2 * _resolvent_integral(model, z, quad_cfg, abs_tol)
-    return base + 2j * math.pi * model.lam**2 * spectral_weight_analytic(model, z)
-
-
-def _resolvent_second_moment(model: ModelParams, z: complex, quad_cfg: QuadConfig,
-                             abs_tol: float) -> complex:
-    """int_0^T g2(w)/(z - w)^2 dw with two-term subtraction near the cut."""
-    T = quad_cfg.truncation(model)
-    c = z.real
-    if not (0.0 < c < T):
-        return adaptive_complex_quad(
-            lambda w: spectral_weight(model, w) / (z - w) ** 2, 0.0, T, quad_cfg,
-            abs_tol=abs_tol,
-        )
-    b = abs(z.imag)
-    if b < 1e-9 * max(1.0, abs(c)):
-        # -d/dz of the boundary value: finite-part derivative of the PV
-        side = 1.0 if z.imag <= 0.0 else -1.0
-        h = 1e-5 * max(1.0, abs(c))
-        pv_prime = (float(pv_integral_many(model, c + h, quad_cfg))
-                    - float(pv_integral_many(model, c - h, quad_cfg))) / (2.0 * h)
-        g2p_c = complex(spectral_weight_derivative(model, complex(c, 0.0))).real
-        return -(pv_prime + side * 1j * math.pi * g2p_c)
-    g2c = spectral_weight(model, c)
-    g2p = complex(spectral_weight_derivative(model, complex(c, 0.0))).real
-    b = abs(z.imag)
-    pts = sorted({min(max(p, T * 1e-12), T * (1 - 1e-12))
-                  for p in (c - 10 * b, c, c + 10 * b)})
-    smooth = adaptive_complex_quad(
-        lambda w: (spectral_weight(model, w) - g2c - g2p * (w - c)) / (z - w) ** 2,
-        0.0, T, quad_cfg, points=pts, abs_tol=abs_tol,
-    )
-    log_term = np.log(complex(z)) - np.log(complex(z - T))
-    inv_term = 1.0 / (z - T) - 1.0 / z
-    # int (w-c)/(z-w)^2 dw with z = c + i b
-    linear = 1j * z.imag * inv_term - log_term
-    return smooth + g2c * inv_term + g2p * linear
-
-
-def _alpha_second_prime(model: ModelParams, z: complex, quad_cfg: QuadConfig,
-                        abs_tol: float) -> complex:
-    """Derivative of the continued alpha: 1 + lam^2 int g2/(z-w)^2 dw + 2*pi*i lam^2 g2'(z)."""
-    integral = _resolvent_second_moment(model, z, quad_cfg, abs_tol)
-    return 1.0 + model.lam**2 * integral + 2j * math.pi * model.lam**2 * spectral_weight_derivative(model, z)
 
 
 def _muller(f, x0: complex, x1: complex, x2: complex, tol: float, max_iter: int):
@@ -263,7 +235,7 @@ def find_resonance(model: ModelParams, quad_cfg: QuadConfig | None = None,
     seed = perturbative_resonance(model, quad_cfg)
 
     def f(z: complex) -> complex:
-        return _alpha_second(model, z, quad_cfg, inner_tol)
+        return _alpha(model, z, Sheet.SECOND_II, quad_cfg, inner_tol)
 
     z = seed
     newton_res = math.inf
@@ -274,7 +246,7 @@ def find_resonance(model: ModelParams, quad_cfg: QuadConfig | None = None,
         iterations = it
         if newton_res < tol:
             break
-        fpz = _alpha_second_prime(model, z, quad_cfg, inner_tol)
+        fpz = _alpha(model, z, Sheet.SECOND_II, quad_cfg, inner_tol, derivative=True)
         step = fz / fpz
         if not np.isfinite(step):
             break
@@ -302,7 +274,7 @@ def find_resonance(model: ModelParams, quad_cfg: QuadConfig | None = None,
         raise PoleInUpperHalfPlane(
             f"continued resolvent zero at {z} is not a decaying resonance"
         )
-    prime = _alpha_second_prime(model, z, quad_cfg, inner_tol)
+    prime = _alpha(model, z, Sheet.SECOND_II, quad_cfg, inner_tol, derivative=True)
     return Resonance(
         z0=complex(z),
         alpha_prime_at_pole=complex(prime),
@@ -310,51 +282,3 @@ def find_resonance(model: ModelParams, quad_cfg: QuadConfig | None = None,
         newton_iterations=iterations,
         residual=float(newton_res),
     )
-
-
-def _alpha_second_fixed(model: ModelParams, z: complex, quad_cfg: QuadConfig) -> complex:
-    """alpha_II by a fixed graded-panel rule; cheap enough for dense scans.
-
-    Panels shrink toward Re z down to a third of the distance from the cut,
-    which keeps the rule accurate to ~1e-12 for the scan's purposes.
-    """
-    from .quadrature import gauss_panels, graded_boundaries
-
-    T = quad_cfg.truncation(model)
-    c = min(max(z.real, 0.0), T)
-    b = max(abs(z.imag), 1e-9)
-    coarse = model.cutoff / 2.5
-
-    def width(x):
-        return min(coarse, max(abs(x - c) / 3.0, b / 3.0), max(x / 2.0, 1e-4 * model.cutoff))
-
-    nodes, wq = gauss_panels(graded_boundaries(0.0, T, width), 24)
-    integral = np.sum(wq * spectral_weight(model, nodes) / (z - nodes))
-    return (z - model.omega_bare - model.lam**2 * integral
-            + 2j * math.pi * model.lam**2 * spectral_weight_analytic(model, z))
-
-
-def grid_refine_resonance(model: ModelParams, quad_cfg: QuadConfig | None = None,
-                          half_width: float = 0.05, grid: int = 21) -> complex:
-    """Derivative-free pole search: |alpha_II| grid scans that zoom onto the
-    minimum, then a Nelder-Mead polish.  Kept deliberately independent of
-    the Newton path so the two can cross-check each other.
-    """
-    quad_cfg = quad_cfg or QuadConfig()
-    seed = perturbative_resonance(model, quad_cfg)
-
-    def objective(p):
-        return abs(_alpha_second_fixed(model, complex(p[0], p[1]), quad_cfg))
-
-    center = np.array([seed.real, seed.imag])
-    span = half_width
-    for _ in range(3):
-        xs = np.linspace(center[0] - span, center[0] + span, grid)
-        ys = np.linspace(center[1] - span, center[1] + span, grid)
-        vals = np.array([[objective((x, y)) for x in xs] for y in ys])
-        iy, ix = np.unravel_index(np.argmin(vals), vals.shape)
-        center = np.array([xs[ix], ys[iy]])
-        span /= 8.0
-    res = minimize(objective, center, method="Nelder-Mead",
-                   options={"xatol": 1e-13, "fatol": 1e-16, "maxiter": 500})
-    return complex(res.x[0], res.x[1])

@@ -14,6 +14,7 @@ import pytest
 
 import oscbath as ob
 from conftest import state_sampler
+from oracles import grid_refine_resonance
 
 
 def _ok(criterion, detail):
@@ -38,7 +39,7 @@ def test_criterion_02_pole_residual_and_oracle(m1, quad):
         poles[lam] = res
         direct = ob.alpha(m, ob.SheetPoint(res.z0, ob.Sheet.SECOND_II), quad)
         assert abs(direct) < 1e-12
-    refined = ob.grid_refine_resonance(m1, quad)
+    refined = grid_refine_resonance(m1, quad)
     gap = abs(refined - poles[0.1].z0)
     elapsed = time.perf_counter() - start
     assert gap < 1e-10

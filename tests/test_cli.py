@@ -91,6 +91,14 @@ def test_solver_failure_exit_3(cfg_path, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "NoConvergence"
 
 
+def test_numerical_failure_exit_1(cfg_path, tmp_path, capsys):
+    # any other OscBathError exits 1; stderr names its class
+    code = run(["pole", "--config", cfg_path, "--out", tmp_path / "out",
+                "--override", "max_subdivisions=1"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "QuadratureFailure"
+
+
 def test_survival_report(cfg_path, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["survival", "--config", cfg_path, "--out", out]) == 0

@@ -11,7 +11,7 @@ from scipy.integrate import quad as scipy_quad
 import oscbath as ob
 from oscbath.errors import QuadratureFailure
 from oscbath.quadrature import adaptive_complex_quad
-from oscbath.selfenergy import _resolvent_integral, _resolvent_second_moment
+from oscbath.selfenergy import _alpha, _resolvent
 
 QUAD = ob.QuadConfig()
 M1 = ob.ModelParams(1.0, 0.1, 1.0, 5.0)
@@ -31,7 +31,11 @@ def quadpack_complex(f, a, b, points=None):
 
 @lru_cache(maxsize=None)
 def mp_moments(name: str, z: complex):
-    """int_0^T g2(w)/(z - w)^k dw for k = 1, 2 at 30 digits."""
+    """int_0^T g2(w)/(z - w)^k dw for k = 1, 2 at 30 digits.
+
+    On the cut (Im z = 0) the limit from below: PV(c) + i pi g2(c) and its
+    negated derivative -PV'(c) - i pi g2'(c).
+    """
     model = MODELS[name]
     T = QUAD.truncation(model)
     n, cutoff, zz = mp.mpf(model.exponent), mp.mpf(model.cutoff), mp.mpc(z.real, z.imag)
@@ -41,6 +45,16 @@ def mp_moments(name: str, z: complex):
     with mp.workdps(30):
         def g2(w):
             return model.prefactor * w**n * mp.exp(-((w / cutoff) ** 2))
+
+        if b == 0.0:
+            def pv(x):
+                # subtracted form: the quotient is smooth through w = x
+                return (mp.quad(lambda w: (g2(w) - g2(x)) / (x - w), [0, x, T])
+                        + g2(x) * mp.log(x / (T - x)))
+
+            c = zz.real
+            return (complex(pv(c) + 1j * mp.pi * g2(c)),
+                    complex(-mp.diff(pv, c) - 1j * mp.pi * mp.diff(g2, c)))
         return tuple(complex(mp.quad(lambda w: g2(w) / (zz - w) ** k, [0, *cuts, T]))
                      for k in (1, 2))
 
@@ -57,13 +71,7 @@ def pole(name: str) -> complex:
     return ob.find_resonance(MODELS[name], QUAD, tol=1e-12).z0
 
 
-NEAR_CUT = [10.0**-k for k in range(3, 9)]
-
-
-def second_moment_rtol(depth: float) -> float:
-    # the subtracted second-moment integrand loses digits to cancellation
-    # within |w - Re z| ~ Im z, so its floor grows like eps / Im z
-    return QUAD.rel_tol + 1e-16 / depth
+NEAR_CUT = [10.0**-k for k in range(3, 9)] + [2e-9, 1e-11]
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -77,26 +85,26 @@ def test_alpha_and_derivative_near_cut_match_mpmath(name, depth, sheet):
     lam2 = model.lam**2
     ref = z - model.omega_bare - lam2 * first
     ref_prime = 1.0 + lam2 * second
-    val_prime = 1.0 + lam2 * _resolvent_second_moment(model, z, QUAD, QUAD.abs_tol)
+    val_prime = _alpha(model, z, sheet, QUAD, QUAD.abs_tol, derivative=True)
     if sheet is ob.Sheet.SECOND_II:
         ref += 2j * math.pi * lam2 * g2
         ref_prime += 2j * math.pi * lam2 * g2_prime
-        val_prime += 2j * math.pi * lam2 * complex(ob.spectral_weight_derivative(model, z))
     # the integrals' relative tolerance carried through lam^2
     assert abs(ob.alpha(model, ob.SheetPoint(z, sheet), QUAD) - ref) <= (
         QUAD.rel_tol * lam2 * abs(first))
-    assert abs(val_prime - ref_prime) <= second_moment_rtol(depth) * lam2 * abs(second)
+    assert abs(val_prime - ref_prime) <= QUAD.rel_tol * lam2 * abs(second)
 
 
 @pytest.mark.parametrize("name", MODELS)
-@pytest.mark.parametrize("depth", [1e-3, 1e-8])
+@pytest.mark.parametrize("depth", [1e-3, 1e-8, 0.0])
 def test_resolvent_integrals_match_mpmath(name, depth):
+    # depth 0 is the cut itself, the boundary value from below; +0.0 is the
+    # signed zero on which a plain complex log takes the branch from above
     model = MODELS[name]
-    z = complex(pole(name).real, -depth)
+    z = complex(pole(name).real, -depth if depth else 0.0)
     first, second = mp_moments(name, z)
-    assert _resolvent_integral(model, z, QUAD) == pytest.approx(first, rel=QUAD.rel_tol)
-    assert _resolvent_second_moment(model, z, QUAD, QUAD.abs_tol) == pytest.approx(
-        second, rel=second_moment_rtol(depth))
+    assert _resolvent(model, z, QUAD, None, 1) == pytest.approx(first, rel=QUAD.rel_tol)
+    assert _resolvent(model, z, QUAD, QUAD.abs_tol, 2) == pytest.approx(second, rel=QUAD.rel_tol)
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -106,8 +114,7 @@ def test_off_range_real_part_matches_quadpack(name, side):
     model = MODELS[name]
     T = QUAD.truncation(model)
     z = complex(-0.05, -1e-3) if side == "below" else complex(T + 0.05, -1e-3)
-    got = (_resolvent_integral(model, z, QUAD),
-           _resolvent_second_moment(model, z, QUAD, QUAD.abs_tol))
+    got = (_resolvent(model, z, QUAD, None, 1), _resolvent(model, z, QUAD, QUAD.abs_tol, 2))
     for k, value, exact in zip((1, 2), got, mp_moments(name, z)):
         ref = quadpack_complex(lambda w: ob.spectral_weight(model, w) / (z - w) ** k, 0.0, T)
         assert value == pytest.approx(ref, rel=1e-11)
@@ -118,8 +125,8 @@ def test_fractional_pole_near_origin():
     z0 = pole("fractional")
     assert 0.0 < z0.real < 0.5
     first, second = mp_moments("fractional", z0)
-    assert _resolvent_integral(FRACTIONAL, z0, QUAD) == pytest.approx(first, rel=QUAD.rel_tol)
-    assert _resolvent_second_moment(FRACTIONAL, z0, QUAD, QUAD.abs_tol) == pytest.approx(
+    assert _resolvent(FRACTIONAL, z0, QUAD, None, 1) == pytest.approx(first, rel=QUAD.rel_tol)
+    assert _resolvent(FRACTIONAL, z0, QUAD, QUAD.abs_tol, 2) == pytest.approx(
         second, rel=QUAD.rel_tol)
     g2, _ = mp_g2(FRACTIONAL, z0)
     lam2 = FRACTIONAL.lam**2

@@ -8,7 +8,8 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 import oscbath as ob
-from oscbath.quadrature import cauchy_pv
+from oracles import grid_refine_resonance
+from oscbath.quadrature import gauss_panels
 
 I = ob.Sheet.PHYSICAL_I
 II = ob.Sheet.SECOND_II
@@ -67,6 +68,27 @@ def test_alpha_boundary_conjugation(m1, quad):
         plus = ob.alpha_boundary(m1, w, ob.Side.PLUS, quad)
         minus = ob.alpha_boundary(m1, w, ob.Side.MINUS, quad)
         assert minus == pytest.approx(plus.conjugate(), abs=1e-14)
+
+
+def cauchy_pv(f, x0: float, a: float, b: float, fprime, n: int = 24,
+              panels: int = 24) -> float:
+    """PV int_a^b f(x)/(x0 - x) dx for a < x0 < b and smooth f with derivative fprime.
+
+    Generic-weight variant of the subtraction rule, for synthetic integrands.
+    """
+    if not (a < x0 < b):
+        raise ValueError("x0 must be interior to (a, b)")
+    bounds = np.unique(np.concatenate([
+        np.linspace(a, x0, panels // 2 + 1), np.linspace(x0, b, panels // 2 + 1)
+    ]))
+    x, w = gauss_panels(bounds, n)
+    f0 = f(x0)
+    diff = x0 - x
+    small = np.abs(diff) < 1e-9 * max(1.0, abs(x0))
+    quot = np.empty_like(x)
+    quot[~small] = (np.asarray([f(xi) for xi in x[~small]]) - f0) / diff[~small]
+    quot[small] = -fprime(x0)
+    return float(quot @ w + f0 * np.log((x0 - a) / (b - x0)))
 
 
 def test_principal_value_even_weight_vanishes():
@@ -156,8 +178,17 @@ def test_find_resonance_fourth_order_scaling(quad):
 
 
 def test_find_resonance_grid_oracle(m1, m1_resonance, quad):
-    zg = ob.grid_refine_resonance(m1, quad)
+    zg = grid_refine_resonance(m1, quad)
     assert abs(zg - m1_resonance.z0) < 1e-10
+
+
+@pytest.mark.parametrize("omega, lam", [(1.0, 2.2292387458683365e-05),
+                                        (0.8, 2.4744841084995144e-05)])
+def test_find_resonance_narrow(quad, omega, lam):
+    # |Im z0| ~ 1.5e-9: the second moment is evaluated a hair below the cut
+    res = ob.find_resonance(ob.build_model(omega, lam, 1.0, 5.0), quad, tol=1e-12)
+    assert res.residual < 1e-12
+    assert res.z0.imag < 0
 
 
 def test_find_resonance_requires_coupling(quad):
