@@ -36,6 +36,15 @@ from .quadrature import MasterGrid, gauss_panels, graded_boundaries, master_grid
 
 DEFAULT_RAY_ANGLE = math.pi / 5.0
 
+_NODES_PER_PANEL = 24         # Gauss nodes per panel of both tables
+_RAD_PER_NODE = 0.8           # phase budget per node at the largest requested time
+_SPECTRAL_MAX_NODES = 500_000
+_INNER_CUT = 1e-5             # peak half-width below which the offset window is used
+_INNER_SPAN = 1e4             # offset window half-span, in peak half-widths
+_RAY_TAIL_TOL = 1e-13         # ray truncation: Gaussian tail bound
+_RAY_OSC_TAIL_TOL = 1e-9      # ray truncation: algebraic tail bound near theta = pi/4
+_RAY_MAX_NODES = 300_000
+
 __all__ = ["SpectralTable", "RayTable", "build_spectral_table", "build_ray_table",
            "DEFAULT_RAY_ANGLE", "AxisProfile", "axis_profile"]
 
@@ -86,6 +95,16 @@ def axis_profile(model: ModelParams, quad_cfg: QuadConfig,
     return AxisProfile(omega0=float(omega0), xprime=float(xp), xsecond=float(xs), eta=float(eta))
 
 
+def node_sum(times, rates, values) -> np.ndarray:
+    """sum_j values_j * exp(rates_j * t) at every t, chunked over the times."""
+    t = np.asarray(times, dtype=float)
+    out = np.empty(t.size, dtype=complex)
+    chunk = max(1, 4_000_000 // max(rates.size, 1))  # about 4M exponentials per chunk
+    for i in range(0, t.size, chunk):
+        out[i:i + chunk] = np.exp(np.outer(t.ravel()[i:i + chunk], rates)) @ values
+    return out.reshape(t.shape)
+
+
 @dataclass
 class SpectralTable:
     """Fixed nodes/weights such that amplitude(t) = sum w_j exp(-i x_j t)."""
@@ -105,46 +124,38 @@ class SpectralTable:
             raise OscillationUnderResolved(
                 f"table resolves phases up to t={self.t_max:.6g}, requested {t.max():.6g}"
             )
-        out = np.empty(t.shape, dtype=complex)
-        chunk = max(1, int(4_000_000 // max(self.nodes.size, 1)))
-        for i in range(0, t.size, chunk):
-            phase = np.exp(-1j * np.outer(t[i:i + chunk], self.nodes))
-            out[i:i + chunk] = phase @ self.weights
-        return out
+        return node_sum(t, -1j * self.nodes, self.weights)
 
     def moment(self, k: int) -> float:
         """k-th frequency moment of the spectral measure carried by the table."""
         return float(np.sum(self.weights * self.nodes**k))
 
 
-def _estimate_nodes(T: float, t_max: float, nodes_per_panel: int, rad_per_node: float) -> int:
-    phase_panels = 0 if t_max <= 0 else T * t_max / (rad_per_node * nodes_per_panel)
-    return int(nodes_per_panel * (phase_panels + 400))
+def _estimate_nodes(T: float, t_max: float) -> int:
+    phase_panels = 0 if t_max <= 0 else T * t_max / (_RAD_PER_NODE * _NODES_PER_PANEL)
+    return int(_NODES_PER_PANEL * (phase_panels + 400))
 
 
-def build_spectral_table(model: ModelParams, quad_cfg: QuadConfig, t_max: float,
-                         *, nodes_per_panel: int = 24, rad_per_node: float = 0.8,
-                         max_nodes: int = 500_000, inner_cut: float = 1e-5,
-                         inner_span: float = 1e4) -> SpectralTable:
+def build_spectral_table(model: ModelParams, quad_cfg: QuadConfig, t_max: float) -> SpectralTable:
     """Build the real-axis weight table resolving phases up to ``t_max``."""
     if model.lam == 0.0:
         raise ValueError("spectral table is undefined for a decoupled oscillator")
     grid = master_grid(model, quad_cfg)
     T = grid.T
-    if _estimate_nodes(T, t_max, nodes_per_panel, rad_per_node) > max_nodes:
+    if _estimate_nodes(T, t_max) > _SPECTRAL_MAX_NODES:
         raise OscillationUnderResolved(
-            f"resolving t_max={t_max:.4g} over [0,{T:.3g}] needs more than {max_nodes} nodes; "
-            "raise the cap or shorten the requested time span"
+            f"resolving t_max={t_max:.4g} over [0,{T:.3g}] needs more than "
+            f"{_SPECTRAL_MAX_NODES} nodes; shorten the requested time span"
         )
     prof = axis_profile(model, quad_cfg, grid)
     om0, halfw = prof.omega0, prof.halfwidth
-    h_phase = math.inf if t_max <= 0 else rad_per_node * nodes_per_panel / t_max
+    h_phase = math.inf if t_max <= 0 else _RAD_PER_NODE * _NODES_PER_PANEL / t_max
     coarse = model.cutoff / 2.5
-    inner = halfw < inner_cut
+    inner = halfw < _INNER_CUT
     peak_floor = max(halfw / 2.0, 0.0) if not inner else 0.0
     d = 0.0
     if inner:
-        d = min(inner_span * halfw, 0.1 * min(om0, T - om0))
+        d = min(_INNER_SPAN * halfw, 0.1 * min(om0, T - om0))
 
     def width(x):
         w = min(coarse, h_phase, max(x / 2.0, 1e-4 * model.cutoff))
@@ -162,13 +173,13 @@ def build_spectral_table(model: ModelParams, quad_cfg: QuadConfig, t_max: float,
 
     if not inner:
         bounds = graded_boundaries(0.0, T, width)
-        nodes, wq = gauss_panels(bounds, nodes_per_panel)
+        nodes, wq = gauss_panels(bounds, _NODES_PER_PANEL)
         weights = outer_weights(nodes, wq)
     else:
         b_left = graded_boundaries(0.0, om0 - d, width)
         b_right = graded_boundaries(om0 + d, T, width)
-        n_l, w_l = gauss_panels(b_left, nodes_per_panel)
-        n_r, w_r = gauss_panels(b_right, nodes_per_panel)
+        n_l, w_l = gauss_panels(b_left, _NODES_PER_PANEL)
+        n_r, w_r = gauss_panels(b_right, _NODES_PER_PANEL)
         outer_nodes = np.concatenate([n_l, n_r])
         outer_w = outer_weights(outer_nodes, np.concatenate([w_l, w_r]))
 
@@ -176,7 +187,7 @@ def build_spectral_table(model: ModelParams, quad_cfg: QuadConfig, t_max: float,
         # real part is modeled as X' * delta + X''/2 * delta^2, which keeps
         # full precision where omega0 + delta would round to omega0.
         span = d / halfw
-        cap = math.inf if t_max <= 0 else rad_per_node * 20 / (halfw * t_max)
+        cap = math.inf if t_max <= 0 else _RAD_PER_NODE * 20 / (halfw * t_max)
         bx = [0.0]
         u = min(1.0, max(cap, 1e-3))
         while u < span:
@@ -196,9 +207,9 @@ def build_spectral_table(model: ModelParams, quad_cfg: QuadConfig, t_max: float,
         nodes = np.concatenate([outer_nodes] + inner_nodes)
         weights = np.concatenate([outer_w] + inner_w)
 
-    if nodes.size > max_nodes:
+    if nodes.size > _SPECTRAL_MAX_NODES:
         raise OscillationUnderResolved(
-            f"table construction produced {nodes.size} nodes, above the cap {max_nodes}"
+            f"table construction produced {nodes.size} nodes, above the cap {_SPECTRAL_MAX_NODES}"
         )
     order = np.argsort(nodes)
     return SpectralTable(nodes=nodes[order], weights=weights[order],
@@ -218,16 +229,10 @@ class RayTable:
     def background(self, times) -> np.ndarray:
         t = np.atleast_1d(np.asarray(times, dtype=float))
         decay = -math.sin(self.theta) - 1j * math.cos(self.theta)
-        out = np.empty(t.shape, dtype=complex)
-        chunk = max(1, int(4_000_000 // max(self.s_nodes.size, 1)))
-        for i in range(0, t.size, chunk):
-            st = np.outer(t[i:i + chunk], self.s_nodes)
-            out[i:i + chunk] = np.exp(decay * st) @ self.values
-        return out
+        return node_sum(t, decay * self.s_nodes, self.values)
 
 
-def _ray_truncation(model: ModelParams, theta: float, tail_tol: float,
-                    osc_tail_tol: float) -> float:
+def _ray_truncation(model: ModelParams, theta: float) -> float:
     lam2c = max(model.lam**2 * model.prefactor, 1e-300)
     n = model.exponent
     cut = model.cutoff
@@ -236,7 +241,7 @@ def _ray_truncation(model: ModelParams, theta: float, tail_tol: float,
         S = 6.0 * cut
         for _ in range(60):
             mag = lam2c * max(S, 1.0) ** n / max(S * S, 1.0)
-            arg = max(math.log(max(mag / tail_tol, 2.0)), 1.0)
+            arg = max(math.log(max(mag / _RAY_TAIL_TOL, 2.0)), 1.0)
             S_new = cut * math.sqrt(arg / c2)
             if abs(S_new - S) < 1e-9 * S:
                 break
@@ -247,14 +252,11 @@ def _ray_truncation(model: ModelParams, theta: float, tail_tol: float,
         raise QuadratureFailure(
             "ray angle too close to pi/4 for exponent >= 3: background tail does not decay"
         )
-    return max((3.0 * lam2c * cut**2 / osc_tail_tol) ** (1.0 / (3.0 - n)), 3.0 * cut)
+    return max((3.0 * lam2c * cut**2 / _RAY_OSC_TAIL_TOL) ** (1.0 / (3.0 - n)), 3.0 * cut)
 
 
 def build_ray_table(model: ModelParams, z0: complex, quad_cfg: QuadConfig,
-                    t_max: float, theta: float = DEFAULT_RAY_ANGLE,
-                    *, nodes_per_panel: int = 24, rad_per_node: float = 0.8,
-                    tail_tol: float = 1e-13, osc_tail_tol: float = 1e-9,
-                    max_nodes: int = 300_000) -> RayTable:
+                    t_max: float, theta: float = DEFAULT_RAY_ANGLE) -> RayTable:
     """Build the rotated-ray table for the non-pole part of the amplitude.
 
     The ray must pass below the resonance pole (theta > |arg z0|) so that
@@ -282,7 +284,7 @@ def build_ray_table(model: ModelParams, z0: complex, quad_cfg: QuadConfig,
     if not (0.0 < theta < 0.5 * math.pi):
         raise ValueError("ray angle must lie in (0, pi/2)")
 
-    S = _ray_truncation(model, theta, tail_tol, osc_tail_tol)
+    S = _ray_truncation(model, theta)
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     abs_sin2 = abs(math.sin(2.0 * theta))
     cut2 = model.cutoff**2
@@ -293,14 +295,14 @@ def build_ray_table(model: ModelParams, z0: complex, quad_cfg: QuadConfig,
     def width(s):
         t_eff = t_max if s <= s0 else min(t_max, 40.0 / (s * sin_t)) if t_max > 0 else 0.0
         k = t_eff * cos_t + 2.0 * s * abs_sin2 / cut2
-        w_phase = math.inf if k <= 0 else rad_per_node * nodes_per_panel / k
+        w_phase = math.inf if k <= 0 else _RAD_PER_NODE * _NODES_PER_PANEL / k
         return min(max(s / 4.0, s0), w_phase)
 
     bounds = graded_boundaries(0.0, S, width)
-    s_nodes, wq = gauss_panels(bounds, nodes_per_panel)
-    if s_nodes.size > max_nodes:
+    s_nodes, wq = gauss_panels(bounds, _NODES_PER_PANEL)
+    if s_nodes.size > _RAY_MAX_NODES:
         raise QuadratureFailure(
-            f"ray table needs {s_nodes.size} nodes, above the cap {max_nodes}"
+            f"ray table needs {s_nodes.size} nodes, above the cap {_RAY_MAX_NODES}"
         )
     grid = master_grid(model, quad_cfg)
     phase = complex(math.cos(theta), -math.sin(theta))

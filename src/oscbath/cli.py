@@ -177,6 +177,9 @@ def build_runconfig(raw: dict, overrides=()) -> RunConfig:
                        ("density_t_max_gamma", 0.0)):
         if values[key] is not None and not values[key] > floor:
             raise ConfigError(f"{key} must exceed {floor}, got {values[key]!r}")
+    for lo, hi in (("gamma_fit_lo", "gamma_fit_hi"), ("khalfin_lo", "khalfin_hi")):
+        if not 0.0 < values[lo] < values[hi]:
+            raise ConfigError(f"need 0 < {lo} < {hi}, got {values[lo]!r} and {values[hi]!r}")
     try:
         OscillatorState(c11=values["c11"], c10=complex(values["re_c10"], values["im_c10"]))
     except ValueError as exc:

@@ -57,7 +57,7 @@ class PoleOnRay(OscBathError):
 
 
 class GridTooCoarse(OscBathError):
-    """The time grid is too coarse for the requested finite differencing."""
+    """The time grid is too coarse for the requested finite differencing or fit."""
 
 
 class WindowBeforeCrossover(OscBathError):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._tables import node_sum
 from .errors import EigensolveFailure, InvalidDiscretization, NotNormalized
 from .model import ModelParams, spectral_weight
 from .quadrature import gauss_panels
@@ -37,7 +38,6 @@ class DiscreteBath:
     frequencies: np.ndarray
     couplings: np.ndarray
     h_matrix: np.ndarray
-    recurrence_estimate: float
     scheme: Scheme
 
     _eig: tuple | None = field(default=None, repr=False, compare=False)
@@ -84,7 +84,6 @@ def discretize(model: ModelParams, N: int, omega_max: float,
         frequencies=freqs,
         couplings=couplings,
         h_matrix=h,
-        recurrence_estimate=2.0 * np.pi / np.min(np.diff(freqs)),
         scheme=scheme,
     )
 
@@ -93,14 +92,8 @@ def oracle_amplitude(bath: DiscreteBath, tgrid) -> AmplitudeSeries:
     """Delta0(t) = sum_k |<osc|v_k>|^2 exp(-i E_k t), exact in the finite bath."""
     t = np.asarray(tgrid, dtype=float)
     vals, vecs = bath.eigensystem()
-    p = vecs[0, :] ** 2
-    chunk = max(1, int(4_000_000 // max(vals.size, 1)))
-    out = np.empty(t.shape, dtype=complex)
-    flat = out.reshape(-1)
-    tf = t.reshape(-1)
-    for i in range(0, tf.size, chunk):
-        flat[i:i + chunk] = np.exp(-1j * np.outer(tf[i:i + chunk], vals)) @ p
-    return AmplitudeSeries(times=t, delta0=out, method=Method.DISCRETE, model=bath.model)
+    delta0 = node_sum(t, -1j * vals, vecs[0, :] ** 2)
+    return AmplitudeSeries(times=t, delta0=delta0, method=Method.DISCRETE, model=bath.model)
 
 
 def energy_drift(bath: DiscreteBath, coefficients, tgrid) -> float:

@@ -28,6 +28,9 @@ __all__ = [
     "adaptive_complex_quad",
 ]
 
+_MASTER_NODES_PER_PANEL = 16
+_MAX_PANELS = 200_000  # panel budget of graded_boundaries
+
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int):
@@ -51,12 +54,12 @@ def gauss_panels(boundaries, n: int):
     return nodes, weights
 
 
-def graded_boundaries(lo: float, hi: float, width_fn, max_panels: int = 200000):
+def graded_boundaries(lo: float, hi: float, width_fn):
     """Greedy panel boundaries on [lo, hi] with local width cap ``width_fn(x)``."""
     pts = [lo]
     x = lo
     floor = 1e-14 * max(1.0, abs(hi))
-    for _ in range(max_panels):
+    for _ in range(_MAX_PANELS):
         step = max(float(width_fn(x)), floor)
         x = x + step
         if x >= hi - floor:
@@ -73,7 +76,7 @@ class MasterGrid:
     resolvable and handles the w**n cusp of fractional exponents.
     """
 
-    def __init__(self, model: ModelParams, T: float, n_per_panel: int = 16):
+    def __init__(self, model: ModelParams, T: float):
         b = [0.0]
         x = 1e-6 * model.cutoff
         coarse = model.cutoff / 2.5
@@ -85,7 +88,7 @@ class MasterGrid:
             x += coarse
         b.append(T)
         self.T = T
-        self.x, self.w = gauss_panels(np.array(b), n_per_panel)
+        self.x, self.w = gauss_panels(np.array(b), _MASTER_NODES_PER_PANEL)
         self.g2 = spectral_weight(model, self.x)
 
     def resolvent_integral(self, model: ModelParams, z):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, OnCut, PoleInUpperHalfPlane
+from .errors import NoConvergence, OnCut, PoleInUpperHalfPlane, QuadratureFailure
 from .model import (
     ModelParams,
     QuadConfig,
@@ -187,6 +187,9 @@ def perturbative_resonance(model: ModelParams, quad_cfg: QuadConfig | None = Non
     quad_cfg = quad_cfg or QuadConfig()
     if model.lam == 0.0:
         return complex(model.omega_bare, 0.0)
+    if not model.omega_bare < quad_cfg.truncation(model):
+        raise QuadratureFailure("could not bracket the resonance position on the real axis; "
+                                "the oscillator frequency may exceed the truncated bath range")
     shift = model.lam**2 * pv_integral_many(model, model.omega_bare, quad_cfg)
     half_width = math.pi * model.lam**2 * spectral_weight(model, model.omega_bare)
     return complex(model.omega_bare + shift, -half_width)

@@ -134,8 +134,8 @@ def hybrid_time_grid(omega_bare: float, gamma: float, t_max: float,
     return grid[grid <= t_max * (1 + 1e-12)]
 
 
-def amplitude_spectral(model: ModelParams, tgrid, quad_cfg: QuadConfig | None = None,
-                       **table_kw) -> AmplitudeSeries:
+def amplitude_spectral(model: ModelParams, tgrid,
+                       quad_cfg: QuadConfig | None = None) -> AmplitudeSeries:
     """Survival amplitude from the real-axis spectral integral.
 
     The weight is tabulated once on phase-resolving nodes and reused for
@@ -146,29 +146,24 @@ def amplitude_spectral(model: ModelParams, tgrid, quad_cfg: QuadConfig | None = 
     if model.lam == 0.0:
         delta0 = np.exp(-1j * model.omega_bare * t)
         return AmplitudeSeries(times=t, delta0=delta0, method=Method.SPECTRAL, model=model)
-    table = build_spectral_table(model, quad_cfg, t_max=float(t.max()), **table_kw)
+    table = build_spectral_table(model, quad_cfg, t_max=float(t.max()))
     return AmplitudeSeries(times=t, delta0=table.amplitude(t),
                            method=Method.SPECTRAL, model=model)
 
 
 def amplitude_pole_background(model: ModelParams, resonance: Resonance, tgrid,
                               quad_cfg: QuadConfig | None = None,
-                              theta: float = DEFAULT_RAY_ANGLE,
-                              **table_kw) -> AmplitudeSeries:
+                              theta: float = DEFAULT_RAY_ANGLE) -> AmplitudeSeries:
     """Survival amplitude as resonance pole term plus deformed background."""
     quad_cfg = quad_cfg or QuadConfig()
     t = _validated_grid(tgrid)
     table = build_ray_table(model, resonance.z0, quad_cfg, t_max=float(t.max()),
-                            theta=theta, **table_kw)
+                            theta=theta)
     pole = np.exp(-1j * resonance.z0 * t) / resonance.alpha_prime_at_pole
     bg = table.background(t)
-
-    def bg_eval(times):
-        return table.background(times)
-
     return AmplitudeSeries(times=t, delta0=pole + bg, method=Method.POLE_BACKGROUND,
                            model=model, resonance=resonance, pole_term=pole,
-                           background=bg, background_eval=bg_eval)
+                           background=bg, background_eval=table.background)
 
 
 def survival_probability(series: AmplitudeSeries):
@@ -227,7 +222,7 @@ def khalfin_exponent(series: AmplitudeSeries, fit_window) -> float:
         raise ValueError("fit window must satisfy 0 < lo < hi")
     mask = (series.times >= lo) & (series.times <= hi)
     if np.count_nonzero(mask) < 8:
-        raise ValueError("fit window contains fewer than 8 grid points")
+        raise GridTooCoarse("fit window contains fewer than 8 grid points")
     P = np.abs(series.delta0[mask]) ** 2
     if np.any(P <= 0):
         raise ValueError("survival probability vanished inside the fit window")
@@ -312,7 +307,7 @@ def exponential_rate_fit(series: AmplitudeSeries, gamma: float,
     lo, hi = window[0] / gamma, window[1] / gamma
     mask = (series.times >= lo) & (series.times <= hi)
     if np.count_nonzero(mask) < 4:
-        raise ValueError("exponential window contains fewer than 4 grid points")
+        raise GridTooCoarse("exponential window contains fewer than 4 grid points")
     P = np.abs(series.delta0[mask]) ** 2
     slope = np.polyfit(series.times[mask], np.log(P), 1)[0]
     return float(-slope)

@@ -1,0 +1,21 @@
+"""The benchmark tracer wraps oscbath names that must keep existing."""
+
+from pathlib import Path
+
+import oscbath._tables as tables
+import oscbath.cli as cli
+
+
+def test_tracer_installs_and_restores(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from tracing import Tracer
+
+    before = (cli.oracle_amplitude, tables.pv_integral_many, tables.SpectralTable.amplitude)
+    tracer = Tracer()
+    try:
+        tracer.install()
+        assert cli.oracle_amplitude is not before[0]
+    finally:
+        tracer.uninstall()
+    assert (cli.oracle_amplitude, tables.pv_integral_many,
+            tables.SpectralTable.amplitude) == before

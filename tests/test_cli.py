@@ -99,6 +99,23 @@ def test_numerical_failure_exit_1(cfg_path, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "QuadratureFailure"
 
 
+@pytest.mark.parametrize("command, overrides, error", [
+    ("pole", ("cutoff=0.1", "lambda=0.05"), "QuadratureFailure"),
+    ("survival", ("cutoff=0.1", "lambda=0.05"), "QuadratureFailure"),
+    ("density", ("cutoff=0.1", "lambda=0.05"), "QuadratureFailure"),
+    ("sweep", ("cutoff=0.1", "lambda=0.05"), "QuadratureFailure"),
+    ("survival", ("n_points=16",), "GridTooCoarse"),
+    ("survival", ("n_points=40", "spacing=linear"), "GridTooCoarse"),
+])
+def test_typed_failure_exit_1(cfg_path, tmp_path, capsys, command, overrides, error):
+    # omega above the truncated bath range (8 * cutoff), or too few points in a fit window
+    args = [command, "--config", cfg_path, "--out", tmp_path / "out"]
+    for item in overrides:
+        args += ["--override", item]
+    assert run(args) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == error
+
+
 def test_survival_report(cfg_path, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["survival", "--config", cfg_path, "--out", out]) == 0
@@ -223,6 +240,9 @@ def test_csv_outputs_are_bit_stable(cfg_path, tmp_path, capsys):
     ("density", "c11=2"),
     ("survival", "n_points=8"),
     ("survival", "t_max_gamma=-1"),
+    ("survival", "khalfin_lo=300"),
+    ("survival", "gamma_fit_lo=7"),
+    ("survival", "gamma_fit_lo=-1"),
 ])
 def test_override_validation(cfg_path, tmp_path, capsys, command, override):
     assert run([command, "--config", cfg_path, "--out", tmp_path / "out",

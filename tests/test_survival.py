@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oscbath as ob
-from oscbath._tables import build_spectral_table
+from oscbath._tables import build_spectral_table, node_sum
 
 
 def test_sum_rule_m1(m1, quad):
@@ -226,7 +226,19 @@ def test_phase_structure_descend_plateau_rise(m1_resonance, m1_pb_long):
 
 def test_oscillation_cap(m1, quad):
     with pytest.raises(ob.OscillationUnderResolved):
-        ob.amplitude_spectral(m1, np.array([0.0, 1e7]), quad, max_nodes=1000)
+        ob.amplitude_spectral(m1, np.array([0.0, 1e7]), quad)
+
+
+def test_node_sum_across_chunks():
+    # 1.5M rates put 2 times in each 4M-exponential chunk: 7 times span 4 chunks
+    rng = np.random.default_rng(7)
+    s = rng.uniform(0.0, 40.0, 1_500_000)
+    rates = (-math.sin(0.6) - 1j * math.cos(0.6)) * s
+    values = rng.uniform(0.0, 1.0, s.size) + 1j * rng.uniform(-1.0, 1.0, s.size)
+    values /= np.abs(values).sum()
+    times = np.array([0.0, 0.01, 0.3, 1.0, 2.5, 7.0, 20.0])
+    direct = np.array([np.sum(values * np.exp(rates * t)) for t in times])
+    assert np.max(np.abs(node_sum(times, rates, values) - direct)) < 1e-12
 
 
 def test_hybrid_grid_shape(m1_resonance):
