@@ -62,7 +62,6 @@ from .selfenergy import (
 from .survival import (
     DEFAULT_RAY_ANGLE,
     AmplitudeSeries,
-    Method,
     PhaseReport,
     ZenoFit,
     amplitude_pole_background,
@@ -83,7 +82,7 @@ __all__ = [
     "spectral_weight_analytic", "spectral_weight_derivative", "spectral_moment",
     "Sheet", "Side", "SheetPoint", "Resonance", "alpha", "alpha_boundary",
     "principal_value", "perturbative_resonance", "find_resonance",
-    "Method", "AmplitudeSeries", "PhaseReport", "ZenoFit", "hybrid_time_grid",
+    "AmplitudeSeries", "PhaseReport", "ZenoFit", "hybrid_time_grid",
     "amplitude_spectral", "amplitude_pole_background", "survival_probability",
     "zeno_slope", "khalfin_exponent", "crossover_times", "sum_rule",
     "exponential_rate_fit", "DEFAULT_RAY_ANGLE",

@@ -112,7 +112,6 @@ class SpectralTable:
     nodes: np.ndarray
     weights: np.ndarray
     t_max: float
-    profile: AxisProfile
     sum_defect: float = field(init=False)
 
     def __post_init__(self):
@@ -213,7 +212,7 @@ def build_spectral_table(model: ModelParams, quad_cfg: QuadConfig, t_max: float)
         )
     order = np.argsort(nodes)
     return SpectralTable(nodes=nodes[order], weights=weights[order],
-                         t_max=float(max(t_max, 0.0)), profile=prof)
+                         t_max=float(max(t_max, 0.0)))
 
 
 @dataclass
@@ -223,8 +222,6 @@ class RayTable:
     s_nodes: np.ndarray
     values: np.ndarray  # quadrature weight * integrand * ray jacobian
     theta: float
-    t_max: float
-    truncation: float
 
     def background(self, times) -> np.ndarray:
         t = np.atleast_1d(np.asarray(times, dtype=float))
@@ -312,5 +309,4 @@ def build_ray_table(model: ModelParams, z0: complex, quad_cfg: QuadConfig,
     g2z = spectral_weight_analytic(model, z)
     alpha_two = alpha_one + 2j * math.pi * lam2 * g2z
     values = wq * lam2 * g2z / (alpha_one * alpha_two) * phase
-    return RayTable(s_nodes=s_nodes, values=values, theta=theta,
-                    t_max=float(max(t_max, 0.0)), truncation=S)
+    return RayTable(s_nodes=s_nodes, values=values, theta=theta)

@@ -57,42 +57,75 @@ from .survival import (
 
 _REQUIRED = object()
 
+
+def _conv(parse, domain, ok=None):
+    """Converter that parses a value and rejects it outside ``domain``.
+
+    Any failure raises ``ValueError(domain)``, so the config error can name
+    the key, the value and the domain.
+    """
+    def convert(text):
+        try:
+            value = parse(text)
+            if ok is None or ok(value):
+                return value
+        except ValueError:
+            pass
+        raise ValueError(domain)
+    return convert
+
+
+def _choice(*options):
+    return _conv(str, " or ".join(map(repr, options)), lambda v: v in options)
+
+
+def _items(text):
+    return [tok for tok in text.split(",") if tok.strip()]
+
+
+_INT = _conv(int, "an integer")
+_FINITE = _conv(float, "a finite float", math.isfinite)
+_POSITIVE = _conv(float, "a finite float > 0", lambda v: 0.0 < v < math.inf)
+
 # key -> (converter, default); _REQUIRED means the config must supply it
 _SCHEMA = {
-    "omega": (float, _REQUIRED),
-    "lambda": (float, _REQUIRED),
-    "exponent": (float, 1.0),
-    "cutoff": (float, _REQUIRED),
-    "prefactor": (float, 1.0),
-    "abs_tol": (float, 1e-12),
-    "rel_tol": (float, 1e-10),
-    "max_subdivisions": (int, 200),
-    "truncation_multiple": (float, 8.0),
-    "newton_tol": (float, 1e-12),
-    "newton_max_iter": (int, 50),
-    "t_max_gamma": (float, 200.0),
-    "t_max_abs": (float, None),
-    "n_points": (int, 320),
-    "spacing": (str, "hybrid"),
-    "spectral_t_max_gamma": (float, 10.0),
-    "ray_theta": (float, DEFAULT_RAY_ANGLE),
-    "dual_tol": (float, 1e-6),
-    "gamma_fit_lo": (float, 2.0),
-    "gamma_fit_hi": (float, 6.0),
-    "khalfin_lo": (float, 80.0),
-    "khalfin_hi": (float, 200.0),
-    "zeno_threshold": (float, 0.9),
-    "oracle_n": (str, "500,1000,2000,4000"),
-    "oracle_omega_max": (float, None),
-    "oracle_scheme": (str, "uniform"),
-    "oracle_window_fraction": (float, 0.2),
-    "c11": (float, 1.0),
-    "re_c10": (float, 0.0),
-    "im_c10": (float, 0.0),
-    "density_t_max_gamma": (float, 20.0),
-    "density_pos_tol": (float, 1e-12),
-    "lindblad_frequency": (str, "shifted"),
-    "exponents": (str, "0.5,1,2"),
+    "omega": (_FINITE, _REQUIRED),
+    "lambda": (_FINITE, _REQUIRED),
+    "exponent": (_FINITE, 1.0),
+    "cutoff": (_FINITE, _REQUIRED),
+    "prefactor": (_FINITE, 1.0),
+    "abs_tol": (_FINITE, 1e-12),
+    "rel_tol": (_FINITE, 1e-10),
+    "max_subdivisions": (_INT, 200),
+    "truncation_multiple": (_FINITE, 8.0),
+    "newton_tol": (_POSITIVE, 1e-12),
+    "newton_max_iter": (_INT, 50),
+    "t_max_gamma": (_POSITIVE, 200.0),
+    "t_max_abs": (_POSITIVE, None),
+    "n_points": (_conv(int, "an integer >= 16", lambda v: v >= 16), 320),
+    "spacing": (_choice("hybrid", "linear"), "hybrid"),
+    "spectral_t_max_gamma": (_POSITIVE, 10.0),
+    "ray_theta": (_conv(float, "a float in (0, pi/2)", lambda v: 0.0 < v < 0.5 * math.pi),
+                  DEFAULT_RAY_ANGLE),
+    "dual_tol": (_POSITIVE, 1e-6),
+    "gamma_fit_lo": (_FINITE, 2.0),
+    "gamma_fit_hi": (_FINITE, 6.0),
+    "khalfin_lo": (_FINITE, 80.0),
+    "khalfin_hi": (_FINITE, 200.0),
+    "zeno_threshold": (_FINITE, 0.9),
+    "oracle_n": (_conv(lambda s: tuple(sorted({int(tok) for tok in _items(s)})),
+                      "a nonempty comma list of integers", bool), (500, 1000, 2000, 4000)),
+    "oracle_omega_max": (_POSITIVE, None),
+    "oracle_scheme": (_choice("uniform", "gauss"), "uniform"),
+    "oracle_window_fraction": (_POSITIVE, 0.2),
+    "c11": (_FINITE, 1.0),
+    "re_c10": (_FINITE, 0.0),
+    "im_c10": (_FINITE, 0.0),
+    "density_t_max_gamma": (_POSITIVE, 20.0),
+    "density_pos_tol": (_FINITE, 1e-12),
+    "lindblad_frequency": (_choice("shifted", "bare"), "shifted"),
+    "exponents": (_conv(lambda s: tuple(sorted(_FINITE(tok) for tok in _items(s))),
+                       "a nonempty comma list of finite floats", bool), (0.5, 1.0, 2.0)),
 }
 
 
@@ -162,21 +195,11 @@ def build_runconfig(raw: dict, overrides=()) -> RunConfig:
             try:
                 values[key] = conv(merged[key])
             except ValueError as exc:
-                raise ConfigError(f"key {key!r}: cannot parse {merged[key]!r}") from exc
+                raise ConfigError(f"key {key!r}: {merged[key]!r} is not {exc}") from exc
         elif default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
         else:
             values[key] = default
-    if values["spacing"] not in ("hybrid", "linear"):
-        raise ConfigError("spacing must be 'hybrid' or 'linear'")
-    if values["oracle_scheme"] not in ("uniform", "gauss"):
-        raise ConfigError("oracle_scheme must be 'uniform' or 'gauss'")
-    if values["lindblad_frequency"] not in ("shifted", "bare"):
-        raise ConfigError("lindblad_frequency must be 'shifted' or 'bare'")
-    for key, floor in (("n_points", 15), ("t_max_gamma", 0.0), ("t_max_abs", 0.0),
-                       ("density_t_max_gamma", 0.0)):
-        if values[key] is not None and not values[key] > floor:
-            raise ConfigError(f"{key} must exceed {floor}, got {values[key]!r}")
     for lo, hi in (("gamma_fit_lo", "gamma_fit_hi"), ("khalfin_lo", "khalfin_hi")):
         if not 0.0 < values[lo] < values[hi]:
             raise ConfigError(f"need 0 < {lo} < {hi}, got {values[lo]!r} and {values[hi]!r}")
@@ -227,42 +250,29 @@ def _time_grid(cfg: RunConfig, gamma: float):
 
 def cmd_pole(cfg: RunConfig, out: Path) -> dict:
     model = cfg.model
-    if model.lam == 0.0:
-        report = {
-            "omega_bare": model.omega_bare,
-            "lambda": 0.0,
-            "z0_re": model.omega_bare,
-            "z0_im": 0.0,
-            "omega0": model.omega_bare,
-            "gamma": 0.0,
-            "delta_omega": 0.0,
-            "alpha_prime_re": 1.0,
-            "alpha_prime_im": 0.0,
-            "perturbative_z0_re": model.omega_bare,
-            "perturbative_z0_im": 0.0,
-            "perturbative_gap": 0.0,
-            "newton_iterations": 0,
-            "residual": 0.0,
-        }
+    if model.lam == 0.0:  # a decoupled oscillator keeps its bare frequency and unit residue
+        res = Resonance(z0=complex(model.omega_bare), alpha_prime_at_pole=1.0 + 0.0j,
+                        perturbative_z0=perturbative_resonance(model),
+                        newton_iterations=0, residual=0.0)
     else:
         res = _resonance(cfg, model)
-        pert = res.perturbative_z0
-        report = {
-            "omega_bare": model.omega_bare,
-            "lambda": model.lam,
-            "z0_re": res.z0.real,
-            "z0_im": res.z0.imag,
-            "omega0": res.omega0,
-            "gamma": res.gamma,
-            "delta_omega": res.omega0 - model.omega_bare,
-            "alpha_prime_re": res.alpha_prime_at_pole.real,
-            "alpha_prime_im": res.alpha_prime_at_pole.imag,
-            "perturbative_z0_re": pert.real,
-            "perturbative_z0_im": pert.imag,
-            "perturbative_gap": abs(res.z0 - pert),
-            "newton_iterations": res.newton_iterations,
-            "residual": res.residual,
-        }
+    pert = res.perturbative_z0
+    report = {
+        "omega_bare": model.omega_bare,
+        "lambda": model.lam,
+        "z0_re": res.z0.real,
+        "z0_im": res.z0.imag,
+        "omega0": res.omega0,
+        "gamma": res.gamma + 0.0,  # + 0.0 writes the decoupled width -0.0 as 0.0
+        "delta_omega": res.omega0 - model.omega_bare,
+        "alpha_prime_re": res.alpha_prime_at_pole.real,
+        "alpha_prime_im": res.alpha_prime_at_pole.imag,
+        "perturbative_z0_re": pert.real,
+        "perturbative_z0_im": pert.imag,
+        "perturbative_gap": abs(res.z0 - pert),
+        "newton_iterations": res.newton_iterations,
+        "residual": res.residual,
+    }
     print(write_json(out / "pole.json", report))
     return report
 
@@ -372,22 +382,16 @@ def cmd_density(cfg: RunConfig, out: Path) -> dict:
 def cmd_oracle(cfg: RunConfig, out: Path) -> dict:
     model = cfg.model
     quad = cfg.quad
-    try:
-        ladder = sorted({int(tok) for tok in cfg["oracle_n"].split(",") if tok.strip()})
-    except ValueError as exc:
-        raise ConfigError(f"oracle_n must be a comma list of integers: {exc}") from exc
-    if not ladder:
-        raise ConfigError("oracle_n is empty")
     omega_max = cfg["oracle_omega_max"]
     if omega_max is None:
-        omega_max = cfg.quad.truncation(model)
+        omega_max = quad.truncation(model)
     scheme = Scheme.UNIFORM if cfg["oracle_scheme"] == "uniform" else Scheme.GAUSS
 
     rows = []
     summary = []
     prev = None
     monotone = True
-    for N in ladder:
+    for N in cfg["oracle_n"]:
         bath = discretize(model, N, omega_max, scheme)
         t_rec = recurrence_time(bath)
         window = cfg["oracle_window_fraction"] * t_rec
@@ -419,14 +423,8 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> dict:
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> dict:
     quad = cfg.quad
-    try:
-        exponents = sorted(float(tok) for tok in cfg["exponents"].split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"exponents must be a comma list of reals: {exc}") from exc
-    if not exponents:
-        raise ConfigError("exponents is empty")
     rows = []
-    for n in exponents:
+    for n in cfg["exponents"]:
         model = build_model(cfg["omega"], cfg["lambda"], n, cfg["cutoff"], cfg["prefactor"])
         pert = perturbative_resonance(model, quad)
         gamma_gr = -2.0 * pert.imag

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _BOUND_TOL = 1e-9
+_POSITIVITY_TOL = 1e-12  # slack in the initial-state check c11*c00 >= |c10|^2
 
 
 @dataclass(frozen=True)
@@ -44,12 +45,11 @@ class OscillatorState:
 
     c11: float
     c10: complex = 0.0
-    ptol: float = 1e-12
 
     def __post_init__(self):
         if not (0.0 <= self.c11 <= 1.0):
             raise ValueError("c11 must lie in [0, 1]")
-        if self.c11 * self.c00 + self.ptol < abs(self.c10) ** 2:
+        if self.c11 * self.c00 + _POSITIVITY_TOL < abs(self.c10) ** 2:
             raise ValueError("initial state violates positivity: c11*c00 < |c10|^2")
 
     @property

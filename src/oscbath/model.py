@@ -46,7 +46,8 @@ class QuadConfig:
 
     Integrals over [0, inf) are truncated at
     ``upper_truncation_multiple * cutoff``; the Gaussian factor makes the
-    discarded tail negligible for any multiple >= 4.
+    discarded tail negligible for any multiple >= 4.  The multiple is capped
+    at 64, where exp(-m^2) is below 1e-1700; a larger one only adds panels.
     """
 
     abs_tol: float = 1e-12
@@ -59,8 +60,9 @@ class QuadConfig:
             raise ValueError("quadrature tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
-        if self.upper_truncation_multiple < 4:
-            raise ValueError("upper_truncation_multiple must be >= 4")
+        if not 4 <= self.upper_truncation_multiple <= 64:
+            raise ValueError(f"upper_truncation_multiple must lie in [4, 64], "
+                             f"got {self.upper_truncation_multiple!r}")
 
     def truncation(self, model: "ModelParams") -> float:
         return self.upper_truncation_multiple * model.cutoff

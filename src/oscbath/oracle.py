@@ -19,7 +19,7 @@ from ._tables import node_sum
 from .errors import EigensolveFailure, InvalidDiscretization, NotNormalized
 from .model import ModelParams, spectral_weight
 from .quadrature import gauss_panels
-from .survival import AmplitudeSeries, Method
+from .survival import AmplitudeSeries
 
 __all__ = ["Scheme", "DiscreteBath", "discretize", "oracle_amplitude",
            "energy_drift", "recurrence_time"]
@@ -38,7 +38,6 @@ class DiscreteBath:
     frequencies: np.ndarray
     couplings: np.ndarray
     h_matrix: np.ndarray
-    scheme: Scheme
 
     _eig: tuple | None = field(default=None, repr=False, compare=False)
 
@@ -79,13 +78,7 @@ def discretize(model: ModelParams, N: int, omega_max: float,
     h[np.arange(1, N + 1), np.arange(1, N + 1)] = freqs
     h[0, 1:] = couplings
     h[1:, 0] = couplings
-    return DiscreteBath(
-        model=model,
-        frequencies=freqs,
-        couplings=couplings,
-        h_matrix=h,
-        scheme=scheme,
-    )
+    return DiscreteBath(model=model, frequencies=freqs, couplings=couplings, h_matrix=h)
 
 
 def oracle_amplitude(bath: DiscreteBath, tgrid) -> AmplitudeSeries:
@@ -93,7 +86,7 @@ def oracle_amplitude(bath: DiscreteBath, tgrid) -> AmplitudeSeries:
     t = np.asarray(tgrid, dtype=float)
     vals, vecs = bath.eigensystem()
     delta0 = node_sum(t, -1j * vals, vecs[0, :] ** 2)
-    return AmplitudeSeries(times=t, delta0=delta0, method=Method.DISCRETE, model=bath.model)
+    return AmplitudeSeries(times=t, delta0=delta0, model=bath.model)
 
 
 def energy_drift(bath: DiscreteBath, coefficients, tgrid) -> float:

@@ -16,7 +16,6 @@ whole contour bookkeeping and is enforced in the test suite.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -33,7 +32,6 @@ from .model import ModelParams, QuadConfig
 from .selfenergy import Resonance
 
 __all__ = [
-    "Method",
     "AmplitudeSeries",
     "PhaseReport",
     "ZenoFit",
@@ -50,21 +48,13 @@ __all__ = [
 ]
 
 
-class Method(enum.Enum):
-    SPECTRAL = "spectral"
-    POLE_BACKGROUND = "pole_background"
-    DISCRETE = "discrete"
-
-
 @dataclass
 class AmplitudeSeries:
     """Survival amplitude Delta0 on an ascending time grid."""
 
     times: np.ndarray
     delta0: np.ndarray
-    method: Method
     model: ModelParams | None = None
-    resonance: Resonance | None = None
     pole_term: np.ndarray | None = None
     background: np.ndarray | None = None
     background_eval: Callable[[np.ndarray], np.ndarray] | None = field(
@@ -145,10 +135,9 @@ def amplitude_spectral(model: ModelParams, tgrid,
     t = _validated_grid(tgrid)
     if model.lam == 0.0:
         delta0 = np.exp(-1j * model.omega_bare * t)
-        return AmplitudeSeries(times=t, delta0=delta0, method=Method.SPECTRAL, model=model)
+        return AmplitudeSeries(times=t, delta0=delta0, model=model)
     table = build_spectral_table(model, quad_cfg, t_max=float(t.max()))
-    return AmplitudeSeries(times=t, delta0=table.amplitude(t),
-                           method=Method.SPECTRAL, model=model)
+    return AmplitudeSeries(times=t, delta0=table.amplitude(t), model=model)
 
 
 def amplitude_pole_background(model: ModelParams, resonance: Resonance, tgrid,
@@ -161,8 +150,7 @@ def amplitude_pole_background(model: ModelParams, resonance: Resonance, tgrid,
                             theta=theta)
     pole = np.exp(-1j * resonance.z0 * t) / resonance.alpha_prime_at_pole
     bg = table.background(t)
-    return AmplitudeSeries(times=t, delta0=pole + bg, method=Method.POLE_BACKGROUND,
-                           model=model, resonance=resonance, pole_term=pole,
+    return AmplitudeSeries(times=t, delta0=pole + bg, model=model, pole_term=pole,
                            background=bg, background_eval=table.background)
 
 

@@ -3,10 +3,14 @@
 import json
 import math
 
+from pathlib import Path
+
 import pytest
 
 import oscbath.cli as cli
-from oscbath.errors import DensityInvariantViolated
+from oscbath.errors import ConfigError, DensityInvariantViolated
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 M1_CFG = """\
 # reference model
@@ -243,8 +247,34 @@ def test_csv_outputs_are_bit_stable(cfg_path, tmp_path, capsys):
     ("survival", "khalfin_lo=300"),
     ("survival", "gamma_fit_lo=7"),
     ("survival", "gamma_fit_lo=-1"),
+    ("survival", "ray_theta=2"),
+    ("survival", "ray_theta=nan"),
+    ("survival", "ray_theta=0"),
+    ("survival", "spectral_t_max_gamma=-1"),
+    ("survival", "spectral_t_max_gamma=0"),
+    ("oracle", "oracle_window_fraction=0"),
+    ("oracle", "oracle_omega_max=inf"),
+    ("oracle", "oracle_n=,"),
+    ("sweep", "exponents=1,nan"),
+    ("survival", "dual_tol=nan"),
+    ("survival", "dual_tol=0"),
+    ("pole", "newton_tol=nan"),
+    ("pole", "newton_tol=-1e-12"),
+    ("survival", "truncation_multiple=inf"),
+    ("survival", "truncation_multiple=1e9"),
 ])
 def test_override_validation(cfg_path, tmp_path, capsys, command, override):
     assert run([command, "--config", cfg_path, "--out", tmp_path / "out",
                 "--override", override]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert override.partition("=")[0] in err["message"]
+
+
+@pytest.mark.parametrize("key", sorted(cli._SCHEMA))
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_schema_rejects_nonfinite(key, value):
+    # every key checks its own domain as the config is read
+    raw = cli.parse_config_file(CONFIGS / "reference.cfg")
+    with pytest.raises(ConfigError, match=key):
+        cli.build_runconfig(raw, [f"{key}={value}"])

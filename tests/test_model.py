@@ -163,3 +163,12 @@ def test_quad_config_validation():
         ob.QuadConfig(upper_truncation_multiple=2.0)
     assert ob.QuadConfig(upper_truncation_multiple=4.0).truncation(
         ob.build_model(1.0, 0.1, 1.0, 5.0, 1.0)) == 20.0
+
+
+@pytest.mark.parametrize("multiple", [64.5, 1e9, math.inf, math.nan])
+def test_quad_config_truncation_cap(multiple):
+    # beyond 64 * cutoff the Gaussian tail is below any float; a huge or infinite
+    # multiple would only make the master grid's panel loop run away
+    with pytest.raises(ValueError):
+        ob.QuadConfig(upper_truncation_multiple=multiple)
+    assert ob.QuadConfig(upper_truncation_multiple=64.0).upper_truncation_multiple == 64.0

@@ -202,6 +202,17 @@ def test_find_resonance_iteration_budget(m1, quad):
         ob.find_resonance(m1, quad, tol=1e-30, max_iter=1)
 
 
+def test_find_resonance_muller_fallback(quad):
+    # at 0.9988 of the positivity limit Newton uses up its 50 iterations from
+    # the perturbative seed; only the Muller fallback reaches the zero
+    m = ob.build_model(1.6413773735241075, 0.8007082973461992, 0.7787778415163586,
+                       2.8169474662566714)
+    res = ob.find_resonance(m, quad)
+    assert res.newton_iterations == 50
+    assert res.z0.imag < 0
+    assert abs(ob.alpha(m, ob.SheetPoint(res.z0, II), quad)) < 1e-12
+
+
 def test_schwarz_reflection(m1, quad):
     for z in (complex(1.0, 0.5), complex(0.3, -0.8), complex(4.0, 2.0)):
         a = ob.alpha(m1, ob.SheetPoint(z, I), quad)
