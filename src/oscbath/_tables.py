@@ -70,8 +70,6 @@ class AxisProfile:
 
 def axis_profile(model: ModelParams, quad_cfg: QuadConfig,
                  grid: MasterGrid | None = None) -> AxisProfile:
-    if model.lam == 0.0:
-        raise ValueError("axis profile is undefined for a decoupled oscillator")
     grid = grid or master_grid(model, quad_cfg)
     T = grid.T
 
@@ -136,9 +134,15 @@ def _estimate_nodes(T: float, t_max: float) -> int:
 
 
 def build_spectral_table(model: ModelParams, quad_cfg: QuadConfig, t_max: float) -> SpectralTable:
-    """Build the real-axis weight table resolving phases up to ``t_max``."""
+    """Build the real-axis weight table resolving phases up to ``t_max``.
+
+    The table records the time its widest panel resolves, which is at least
+    ``t_max``.  A decoupled model is one node at omega_bare with weight 1,
+    exact at every time.
+    """
     if model.lam == 0.0:
-        raise ValueError("spectral table is undefined for a decoupled oscillator")
+        return SpectralTable(nodes=np.array([model.omega_bare]), weights=np.array([1.0]),
+                             t_max=math.inf)
     grid = master_grid(model, quad_cfg)
     T = grid.T
     if _estimate_nodes(T, t_max) > _SPECTRAL_MAX_NODES:
@@ -174,6 +178,7 @@ def build_spectral_table(model: ModelParams, quad_cfg: QuadConfig, t_max: float)
         bounds = graded_boundaries(0.0, T, width)
         nodes, wq = gauss_panels(bounds, _NODES_PER_PANEL)
         weights = outer_weights(nodes, wq)
+        widest = np.diff(bounds).max()
     else:
         b_left = graded_boundaries(0.0, om0 - d, width)
         b_right = graded_boundaries(om0 + d, T, width)
@@ -205,14 +210,18 @@ def build_spectral_table(model: ModelParams, quad_cfg: QuadConfig, t_max: float)
             inner_w.append(dens * uw * halfw)
         nodes = np.concatenate([outer_nodes] + inner_nodes)
         weights = np.concatenate([outer_w] + inner_w)
+        # an inner panel of 20 nodes counts as one of 24 nodes this much wider
+        widest = max(np.diff(b_left).max(), np.diff(b_right).max(),
+                     halfw * np.diff(bx).max() * _NODES_PER_PANEL / 20)
 
     if nodes.size > _SPECTRAL_MAX_NODES:
         raise OscillationUnderResolved(
             f"table construction produced {nodes.size} nodes, above the cap {_SPECTRAL_MAX_NODES}"
         )
     order = np.argsort(nodes)
+    resolved = _RAD_PER_NODE * _NODES_PER_PANEL / widest
     return SpectralTable(nodes=nodes[order], weights=weights[order],
-                         t_max=float(max(t_max, 0.0)))
+                         t_max=float(max(t_max, resolved)))
 
 
 @dataclass
@@ -263,9 +272,11 @@ def build_ray_table(model: ModelParams, z0: complex, quad_cfg: QuadConfig,
     """
     if model.lam == 0.0:
         raise ValueError("ray table is undefined for a decoupled oscillator")
+    if not (0.0 < theta < 0.5 * math.pi):
+        raise ValueError("ray angle must lie in (0, pi/2)")
     pole_angle = abs(math.atan2(z0.imag, z0.real))
     angle_tol = 0.02
-    if theta <= pole_angle + angle_tol or abs(theta - pole_angle) < angle_tol:
+    if theta <= pole_angle + angle_tol:
         adjusted = max(2.0 * pole_angle, pole_angle + 0.2)
         warnings.warn(
             f"ray angle {theta:.4g} too close to the pole direction {pole_angle:.4g}; "
@@ -278,8 +289,6 @@ def build_ray_table(model: ModelParams, z0: complex, quad_cfg: QuadConfig,
             raise PoleOnRay(
                 f"no deformation angle separates the pole at argument {pole_angle:.4g}"
             )
-    if not (0.0 < theta < 0.5 * math.pi):
-        raise ValueError("ray angle must lie in (0, pi/2)")
 
     S = _ray_truncation(model, theta)
     sin_t, cos_t = math.sin(theta), math.cos(theta)

@@ -289,11 +289,7 @@ def cmd_survival(cfg: RunConfig, out: Path) -> dict:
     sp_grid = grid[grid <= spectral_cap]
     sp = amplitude_spectral(model, sp_grid, quad)
     dual_sup = float(np.max(np.abs(sp.delta0 - pb.delta0[: sp_grid.size])))
-
-    # dedicated geometric ladder near t = 0 for the short-time diagnostics
-    zeno_grid = np.concatenate([[0.0], np.geomspace(1e-4 / model.omega_bare,
-                                                    0.1 / model.omega_bare, 24)])
-    zeno = zeno_slope(amplitude_spectral(model, zeno_grid, quad))
+    zeno = zeno_slope(sp)
 
     gamma_fit = exponential_rate_fit(pb, gamma, (cfg["gamma_fit_lo"], cfg["gamma_fit_hi"]))
     khalfin = None

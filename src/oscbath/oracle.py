@@ -116,9 +116,14 @@ def energy_drift(bath: DiscreteBath, coefficients, tgrid) -> float:
 
 
 def recurrence_time(bath: DiscreteBath) -> float:
-    """2*pi over the minimum bath-mode spacing; an order-of-magnitude scale.
+    """2*pi over the spacing of the two bath modes that bracket omega_bare.
 
-    With weak coupling the exact level spacings track the mode spacings, and
-    for a uniform bath this is exactly the revival period.
+    The amplitude's weight sits near omega_bare, so its first revival comes
+    from the level spacing there (with weak coupling the levels track the
+    modes).  For a uniform bath this is exactly the revival period; Gauss
+    modes crowd at the ends of the range, far from the weight.
     """
-    return 2.0 * np.pi / float(np.min(np.diff(bath.frequencies)))
+    freqs = bath.frequencies
+    i = int(np.clip(np.searchsorted(freqs, bath.model.omega_bare, side="right"),
+                    1, freqs.size - 1))
+    return 2.0 * np.pi / float(freqs[i] - freqs[i - 1])

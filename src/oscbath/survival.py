@@ -17,17 +17,14 @@ whole contour bookkeeping and is enforced in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
 
-from ._tables import DEFAULT_RAY_ANGLE, build_ray_table, build_spectral_table
-from .errors import (
-    CrossoverNotBracketed,
-    GridTooCoarse,
-    WindowBeforeCrossover,
-)
+from ._tables import (DEFAULT_RAY_ANGLE, RayTable, SpectralTable, build_ray_table,
+                      build_spectral_table)
+from .errors import CrossoverNotBracketed, GridTooCoarse, WindowBeforeCrossover
 from .model import ModelParams, QuadConfig
 from .selfenergy import Resonance
 
@@ -50,16 +47,15 @@ __all__ = [
 
 @dataclass
 class AmplitudeSeries:
-    """Survival amplitude Delta0 on an ascending time grid."""
+    """Survival amplitude Delta0 on an ascending time grid, with the spectral
+    or ray table it was summed from."""
 
     times: np.ndarray
     delta0: np.ndarray
     model: ModelParams | None = None
     pole_term: np.ndarray | None = None
     background: np.ndarray | None = None
-    background_eval: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
+    table: SpectralTable | RayTable | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -86,6 +82,10 @@ class PhaseReport:
 class ZenoFit(NamedTuple):
     slope: float
     quadratic: float
+
+
+# Zeno fit times in units of 1/omega_bare, a geometric ladder from 1e-4
+_ZENO_LADDER = 1e-4 * 1.35 ** np.arange(5)
 
 
 def _validated_grid(tgrid) -> np.ndarray:
@@ -129,15 +129,12 @@ def amplitude_spectral(model: ModelParams, tgrid,
     """Survival amplitude from the real-axis spectral integral.
 
     The weight is tabulated once on phase-resolving nodes and reused for
-    every grid time.  A decoupled model evolves freely.
+    every grid time; the series keeps the table.
     """
     quad_cfg = quad_cfg or QuadConfig()
     t = _validated_grid(tgrid)
-    if model.lam == 0.0:
-        delta0 = np.exp(-1j * model.omega_bare * t)
-        return AmplitudeSeries(times=t, delta0=delta0, model=model)
     table = build_spectral_table(model, quad_cfg, t_max=float(t.max()))
-    return AmplitudeSeries(times=t, delta0=table.amplitude(t), model=model)
+    return AmplitudeSeries(times=t, delta0=table.amplitude(t), model=model, table=table)
 
 
 def amplitude_pole_background(model: ModelParams, resonance: Resonance, tgrid,
@@ -151,7 +148,7 @@ def amplitude_pole_background(model: ModelParams, resonance: Resonance, tgrid,
     pole = np.exp(-1j * resonance.z0 * t) / resonance.alpha_prime_at_pole
     bg = table.background(t)
     return AmplitudeSeries(times=t, delta0=pole + bg, model=model, pole_term=pole,
-                           background=bg, background_eval=table.background)
+                           background=bg, table=table)
 
 
 def survival_probability(series: AmplitudeSeries):
@@ -167,34 +164,28 @@ def survival_probability(series: AmplitudeSeries):
     return P, gamma_t
 
 
-def zeno_slope(series: AmplitudeSeries, n_points: int = 5) -> ZenoFit:
+def zeno_slope(series: AmplitudeSeries) -> ZenoFit:
     """One-sided dP/dt at t = 0 plus the quadratic coefficient q.
 
-    Uses the smallest positive grid times in a Richardson-style polynomial
-    elimination (a small Vandermonde solve handles the uneven geometric
-    ladder).  For a valid model the slope vanishes and
-    P(t) ~ 1 - q t^2 with q = lam^2 * int g2 domega.
+    Both numbers come from the series' spectral table.  The slope is a
+    polynomial elimination of P at the Zeno ladder times (a small
+    Vandermonde solve handles the geometric spacing) and vanishes for a
+    valid model.  q is the exact t^2 coefficient of |sum w exp(-i x t)|^2,
+    S * sum w (x - mu)^2 with S = sum w and mu the weighted mean frequency,
+    so P(t) ~ 1 - q t^2 with q = lam^2 * int g2 domega.
     """
-    if series.model is None:
-        raise ValueError("series carries no model")
-    omega = series.model.omega_bare
-    t = series.times
-    if t[0] != 0.0:
-        raise GridTooCoarse("grid must start at t = 0")
-    P = np.abs(series.delta0) ** 2
-    pos = np.nonzero(t > 0)[0]
-    if pos.size == 0 or t[pos[0]] > 1e-3 / omega:
-        raise GridTooCoarse("first positive time must be <= 1e-3 / omega_bare")
-    sel = pos[t[pos] <= 0.2 / omega][:n_points]
-    if sel.size < 4:
-        raise GridTooCoarse("need at least 4 early grid points below 0.2 / omega_bare")
-    ts = t[sel]
-    scale = ts[-1]
-    tau = ts / scale
-    V = np.column_stack([tau**k for k in range(1, sel.size + 1)])
-    coeff = np.linalg.solve(V, P[sel] - P[0])
-    slope = coeff[0] / scale
-    quadratic = -coeff[1] / scale**2
+    table = series.table
+    if not isinstance(table, SpectralTable):
+        raise ValueError("the Zeno fit needs a series from amplitude_spectral")
+    ts = _ZENO_LADDER / series.model.omega_bare
+    P = np.abs(table.amplitude(np.concatenate([[0.0], ts]))) ** 2
+    tau = ts / ts[-1]
+    V = np.column_stack([tau**k for k in range(1, tau.size + 1)])
+    slope = np.linalg.solve(V, P[1:] - P[0])[0] / ts[-1]
+    w, x = table.weights, table.nodes
+    total = w.sum()
+    mu = np.dot(w, x) / total
+    quadratic = total * np.dot(w, (x - mu) ** 2)
     return ZenoFit(slope=float(slope), quadratic=float(quadratic))
 
 
@@ -268,20 +259,15 @@ def crossover_times(model: ModelParams, resonance: Resonance,
 
     def excess(tt):
         pole = abs(np.exp(-1j * z0 * tt) / a_prime)
-        return float(abs(series.background_eval(np.array([tt]))[0]) - pole)
+        return float(abs(series.table.background(np.array([tt]))[0]) - pole)
 
     t_khalfin = brentq(excess, t[i], t[i + 1], xtol=1e-10 * max(t[i + 1], 1.0))
     return float(t_zeno), float(t_khalfin)
 
 
 def sum_rule(model: ModelParams, quad_cfg: QuadConfig | None = None) -> float:
-    """Total mass of the spectral weight; equals 1 by completeness.
-
-    A decoupled oscillator keeps all weight in its surviving discrete mode.
-    """
+    """Total mass of the spectral weight; equals 1 by completeness."""
     quad_cfg = quad_cfg or QuadConfig()
-    if model.lam == 0.0:
-        return 1.0
     table = build_spectral_table(model, quad_cfg, t_max=0.0)
     return float(table.weights.sum())
 

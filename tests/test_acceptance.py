@@ -15,6 +15,7 @@ import pytest
 import oscbath as ob
 from conftest import state_sampler
 from oracles import grid_refine_resonance
+from oscbath.selfenergy import _resolvent
 
 
 def _ok(criterion, detail):
@@ -75,6 +76,32 @@ def test_criterion_02_perturbative_gap(quad):
         + detail
     )
     _ok("2 (perturbative gap)", detail)
+
+
+def test_criterion_02_gap_coefficient(quad):
+    """|z0 - z0_pert| / lam^4 converges to |Sigma(Omega) Sigma'(Omega)|.
+
+    Sigma is the resolvent integral on the cut at Omega = omega_bare and
+    Sigma' its derivative; the product is 17.32 at the reference model, the
+    coefficient that the 5*lam^4 bound above misses.
+    """
+    m1 = ob.build_model(1.0, 0.1, 1.0, 5.0, 1.0)
+    sigma = _resolvent(m1, 1.0 + 0.0j, quad, None, power=1)
+    sigma_prime = -_resolvent(m1, 1.0 + 0.0j, quad, None, power=2)
+    coeff = abs(sigma * sigma_prime)
+    assert coeff == pytest.approx(17.3217, abs=1e-4)
+    ratios = []
+    for lam in (0.1, 0.05, 0.025, 0.0125):
+        res = ob.find_resonance(ob.build_model(1.0, lam, 1.0, 5.0, 1.0), quad, tol=1e-12)
+        ratios.append(abs(res.z0 - res.perturbative_z0) / lam**4)
+    gaps = [r - coeff for r in ratios]
+    # the next order is lam^6, so each halving of lam shrinks the gap about 4x
+    assert all(3.5 < a / b < 4.5 for a, b in zip(gaps, gaps[1:]))
+    assert gaps[-1] < 1e-3 * coeff
+    extrapolated = (4.0 * ratios[-1] - ratios[-2]) / 3.0
+    assert extrapolated == pytest.approx(coeff, rel=1e-5)
+    _ok("2 (gap coefficient)",
+        ", ".join(f"{r:.4f}" for r in ratios) + f" -> {coeff:.4f}")
 
 
 def test_criterion_03_dual_method(m1, m1_resonance, quad):

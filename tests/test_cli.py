@@ -134,6 +134,16 @@ def test_survival_report(cfg_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_survival_short_spectral_window(cfg_path, tmp_path, capsys):
+    # the Zeno ladder reaches past a spectral window of 1e-6 lifetimes
+    out = tmp_path / "out"
+    assert run(["survival", "--config", cfg_path, "--out", out,
+                "--override", "spectral_t_max_gamma=1e-6"]) == 0
+    report = json.loads((out / "survival.json").read_text())
+    assert report["zeno_quadratic"] == pytest.approx(0.125, rel=1e-12)
+    capsys.readouterr()
+
+
 def test_survival_dual_mismatch_exit_4(cfg_path, tmp_path, capsys):
     code = run(["survival", "--config", cfg_path, "--out", tmp_path / "out",
                 "--override", "dual_tol=1e-18"])
@@ -184,6 +194,16 @@ def test_oracle_report(cfg_path, tmp_path, capsys):
     assert [entry["N"] for entry in report["ladder"]] == [200, 400]
     header = (out / "oracle.csv").read_text().splitlines()[0]
     assert header == "N,t,P_oracle,P_continuum,abs_diff"
+    capsys.readouterr()
+
+
+def test_oracle_gauss_2000(cfg_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["oracle", "--config", cfg_path, "--out", out,
+                "--override", "oracle_scheme=gauss",
+                "--override", "oracle_n=2000"]) == 0
+    report = json.loads((out / "oracle.json").read_text())
+    assert report["ladder"][0]["max_abs_dP"] < 1e-10
     capsys.readouterr()
 
 

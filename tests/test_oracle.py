@@ -75,6 +75,17 @@ def test_recurrence_spike(m1, m1_resonance, quad):
     assert ratio.max() > 10.0
 
 
+@pytest.mark.parametrize("N", [500, 1000])
+def test_gauss_oracle_tracks_continuum(m1, quad, N):
+    # the Gauss window comes from the mode spacing at omega_bare, not at the
+    # crowded ends of the range
+    bath = ob.discretize(m1, N, 40.0, ob.Scheme.GAUSS)
+    grid = np.linspace(0.0, 0.2 * ob.recurrence_time(bath), 160)
+    disc = ob.oracle_amplitude(bath, grid)
+    cont = ob.amplitude_spectral(m1, grid, quad)
+    assert np.max(np.abs(np.abs(disc.delta0) ** 2 - np.abs(cont.delta0) ** 2)) < 1e-10
+
+
 def test_recurrence_time_uniform_spacing(m1):
     bath = ob.discretize(m1, 100, 40.0, ob.Scheme.UNIFORM)
     assert ob.recurrence_time(bath) == pytest.approx(2.0 * math.pi / 0.4, rel=1e-12)

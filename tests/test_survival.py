@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oscbath as ob
-from oscbath._tables import build_spectral_table, node_sum
+from oscbath._tables import build_ray_table, build_spectral_table, node_sum
 
 
 def test_sum_rule_m1(m1, quad):
@@ -124,19 +124,36 @@ def test_zeno_variance_identity(m1, quad):
     assert variance == pytest.approx(0.01 * ob.spectral_moment(m1, 0), abs=1e-6)
 
 
-def test_zeno_rejects_coarse_grid(m1, quad):
+def test_zeno_quadratic_is_table_variance(m1, quad):
+    # the Zeno numbers come from the series' table, whatever grid it holds
     series = ob.amplitude_spectral(m1, np.linspace(0.0, 10.0, 11), quad)
-    with pytest.raises(ob.GridTooCoarse):
-        ob.zeno_slope(series)
+    fit = ob.zeno_slope(series)
+    assert abs(fit.slope) < 1e-8
+    assert fit.quadratic == pytest.approx(0.01 * ob.spectral_moment(m1, 0), rel=1e-12)
+
+
+def test_zeno_needs_spectral_table(m1_pb):
+    with pytest.raises(ValueError):
+        ob.zeno_slope(m1_pb)
+
+
+def test_decoupled_table_is_free_evolution(quad):
+    m = ob.build_model(1.0, 0.0, 1.0, 5.0, 1.0)
+    t = np.linspace(0.0, 1e3, 500)
+    series = ob.amplitude_spectral(m, t, quad)
+    assert series.table.nodes.tolist() == [1.0]
+    assert np.array_equal(series.delta0, np.exp(-1j * m.omega_bare * t))
+    assert ob.sum_rule(m, quad) == 1.0
 
 
 def test_zeno_free_limit(quad):
     m = ob.build_model(1.0, 0.0, 1.0, 5.0, 1.0)
     grid = np.concatenate([[0.0], np.geomspace(1e-4, 0.1, 24)])
     fit = ob.zeno_slope(ob.amplitude_spectral(m, grid, quad))
-    # rounding noise in |exp(-i t)|^2 is amplified by the 1/t^2 of the fit
+    # one node has variance 0; rounding noise in |exp(-i t)|^2 is amplified
+    # by the 1/t of the slope fit
     assert abs(fit.slope) < 1e-8
-    assert abs(fit.quadratic) < 1e-5
+    assert fit.quadratic == 0.0
 
 
 def test_khalfin_exponent_m1(m1_resonance, m1_pb_long):
@@ -169,7 +186,7 @@ def test_crossover_times_m1(m1, m1_resonance, m1_pb_long):
     # defining equation |pole| = |background| holds at the returned point
     pole = abs(np.exp(-1j * m1_resonance.z0 * t_khalfin)
                / m1_resonance.alpha_prime_at_pole)
-    bg = abs(m1_pb_long.background_eval(np.array([t_khalfin]))[0])
+    bg = abs(m1_pb_long.table.background(np.array([t_khalfin]))[0])
     assert abs(pole - bg) <= 0.01 * pole
 
 
@@ -229,6 +246,15 @@ def test_oscillation_cap(m1, quad):
         ob.amplitude_spectral(m1, np.array([0.0, 1e7]), quad)
 
 
+def test_table_records_resolved_time(m1, quad):
+    # the widest panel, cutoff / 2.5, resolves 0.8 rad per node up to t = 9.6
+    table = build_spectral_table(m1, quad, t_max=0.0)
+    assert table.t_max == pytest.approx(9.6, rel=1e-12)
+    table.amplitude(np.array([9.6]))
+    with pytest.raises(ob.OscillationUnderResolved):
+        table.amplitude(np.array([9.7]))
+
+
 def test_node_sum_across_chunks():
     # 1.5M rates put 2 times in each 4M-exponential chunk: 7 times span 4 chunks
     rng = np.random.default_rng(7)
@@ -263,3 +289,10 @@ def test_ray_angle_auto_adjust(m1, m1_resonance, quad):
         pb = ob.amplitude_pole_background(m1, m1_resonance, np.array([0.0, 1.0]),
                                           quad, theta=0.02)
     assert abs(pb.delta0[0] - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("theta", [-0.5, 0.0, 2.0])
+def test_ray_angle_out_of_range(m1, m1_resonance, quad, theta):
+    # the range check comes before the one-shot adjustment
+    with pytest.raises(ValueError):
+        build_ray_table(m1, m1_resonance.z0, quad, t_max=1.0, theta=theta)
