@@ -45,7 +45,6 @@ from .model import (
     spectral_moment,
     spectral_weight,
     spectral_weight_analytic,
-    spectral_weight_derivative,
 )
 from .oracle import DiscreteBath, Scheme, discretize, energy_drift, oracle_amplitude, recurrence_time
 from .selfenergy import (
@@ -79,7 +78,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ModelParams", "QuadConfig", "build_model", "spectral_weight",
-    "spectral_weight_analytic", "spectral_weight_derivative", "spectral_moment",
+    "spectral_weight_analytic", "spectral_moment",
     "Sheet", "Side", "SheetPoint", "Resonance", "alpha", "alpha_boundary",
     "principal_value", "perturbative_resonance", "find_resonance",
     "AmplitudeSeries", "PhaseReport", "ZenoFit", "hybrid_time_grid",

@@ -123,10 +123,6 @@ class SpectralTable:
             )
         return node_sum(t, -1j * self.nodes, self.weights)
 
-    def moment(self, k: int) -> float:
-        """k-th frequency moment of the spectral measure carried by the table."""
-        return float(np.sum(self.weights * self.nodes**k))
-
 
 def _estimate_nodes(T: float, t_max: float) -> int:
     phase_panels = 0 if t_max <= 0 else T * t_max / (_RAD_PER_NODE * _NODES_PER_PANEL)

@@ -297,7 +297,7 @@ def cmd_survival(cfg: RunConfig, out: Path) -> dict:
     if grid.max() >= k_window[1] * (1 - 1e-9):
         khalfin = khalfin_exponent(pb, k_window)
     try:
-        t_zeno, t_khalfin = crossover_times(model, res, pb, threshold=cfg["zeno_threshold"])
+        t_zeno, t_khalfin = crossover_times(res, pb, threshold=cfg["zeno_threshold"])
     except CrossoverNotBracketed:
         t_zeno = t_khalfin = None
 
@@ -383,19 +383,23 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> dict:
         omega_max = quad.truncation(model)
     scheme = Scheme.UNIFORM if cfg["oracle_scheme"] == "uniform" else Scheme.GAUSS
 
+    # the eigensolves come before the one continuum table, whose build
+    # temporaries would otherwise stay in the heap through eigh
+    baths = [discretize(model, N, omega_max, scheme) for N in cfg["oracle_n"]]
+    t_recs = [recurrence_time(bath) for bath in baths]
+    windows = [cfg["oracle_window_fraction"] * t_rec for t_rec in t_recs]
+    grids = [np.linspace(0.0, window, min(cfg["n_points"], 320)) for window in windows]
+    p_discs = [np.abs(oracle_amplitude(bath, grid).delta0) ** 2
+               for bath, grid in zip(baths, grids)]
+    table = amplitude_spectral(model, [0.0, max(windows)], quad).table
+
     rows = []
     summary = []
     prev = None
     monotone = True
-    for N in cfg["oracle_n"]:
-        bath = discretize(model, N, omega_max, scheme)
-        t_rec = recurrence_time(bath)
-        window = cfg["oracle_window_fraction"] * t_rec
-        grid = np.linspace(0.0, window, min(cfg["n_points"], 320))
-        disc = oracle_amplitude(bath, grid)
-        cont = amplitude_spectral(model, grid, quad)
-        p_disc = np.abs(disc.delta0) ** 2
-        p_cont = np.abs(cont.delta0) ** 2
+    for bath, t_rec, window, grid, p_disc in zip(baths, t_recs, windows, grids, p_discs):
+        N = bath.frequencies.size
+        p_cont = np.abs(table.amplitude(grid)) ** 2
         dev = np.abs(p_disc - p_cont)
         for t, po, pc, d in zip(grid, p_disc, p_cont, dev):
             rows.append((N, t, po, pc, d))
@@ -423,7 +427,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> dict:
     for n in cfg["exponents"]:
         model = build_model(cfg["omega"], cfg["lambda"], n, cfg["cutoff"], cfg["prefactor"])
         pert = perturbative_resonance(model, quad)
-        gamma_gr = -2.0 * pert.imag
+        gamma_gr = -2.0 * pert.imag + 0.0  # + 0.0 writes the decoupled rate -0.0 as 0.0
         closed = (2.0 * math.pi * model.lam**2 * model.prefactor
                   * model.omega_bare**n * math.exp(-((model.omega_bare / model.cutoff) ** 2)))
         if model.lam > 0:

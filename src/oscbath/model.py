@@ -35,7 +35,6 @@ __all__ = [
     "build_model",
     "spectral_weight",
     "spectral_weight_analytic",
-    "spectral_weight_derivative",
     "spectral_moment",
 ]
 
@@ -173,42 +172,13 @@ def spectral_weight_analytic(model: ModelParams, z):
     return out
 
 
-def spectral_weight_derivative(model: ModelParams, z):
-    """d/dz of the continued g2; needed for Newton steps at the pole.
-
-    g2'(z) = prefactor * exp(-z^2/cutoff^2) * z^(n-1) * (n - 2 z^2 / cutoff^2).
-    """
-    zz = np.asarray(z, dtype=complex)
-    n = model.exponent
-    if not _is_integer_exponent(n):
-        on_cut = (zz.imag == 0.0) & (zz.real <= 0.0)
-        if np.any(on_cut):
-            raise BranchCutHit(
-                "fractional exponent with z on the negative real axis (principal branch cut)"
-            )
-    out = np.zeros_like(zz)
-    nz = zz != 0.0
-    zn = zz[nz]
-    if _is_integer_exponent(n) and n >= 1:
-        powed = zn ** (int(round(n)) - 1)
-    else:
-        powed = np.exp((n - 1.0) * np.log(zn))
-    out[nz] = (
-        model.prefactor
-        * np.exp(-((zn / model.cutoff) ** 2))
-        * powed
-        * (n - 2.0 * zn**2 / model.cutoff**2)
-    )
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return complex(out)
-    return out
-
-
 def spectral_weight_jet(model: ModelParams, w):
-    """g2, g2' and g2'' at real w > 0 in closed form; scalars or arrays.
+    """g2, g2' and g2'' in closed form at real or complex w != 0; scalars or arrays.
 
     With d = n/w - 2w/cutoff^2 (the log-derivative of g2) they are g2,
-    g2*d and g2*(d^2 - n/w^2 - 2/cutoff^2).
+    g2*d and g2*(d^2 - n/w^2 - 2/cutoff^2).  Complex w takes the principal
+    branch of w**n; the caller keeps w off the negative real axis when the
+    exponent is fractional (see :func:`spectral_weight_analytic`).
     """
     n, k2 = model.exponent, model.cutoff**2
     g2 = model.prefactor * w**n * np.exp(-((w / model.cutoff) ** 2))

@@ -92,21 +92,19 @@ class MasterGrid:
         self.g2 = spectral_weight(model, self.x)
 
     def resolvent_integral(self, model: ModelParams, z):
-        """int_0^T g2(x)/(z - x) dx for complex z off [0, T], vectorized over z.
+        """int_0^T g2(x)/(z - x) dx at each point of a 1-d array z off [0, T].
 
         Accurate while the distance of each z from the real axis is not much
         smaller than the local panel width (the grid refines to ~1e-6*cutoff
         near the origin).
         """
-        zz = np.atleast_1d(np.asarray(z, dtype=complex))
+        zz = np.asarray(z, dtype=complex)
         out = np.empty(zz.shape, dtype=complex)
         chunk = max(1, int(4_000_000 // max(self.x.size, 1)))
         gw = self.g2 * self.w
         for i in range(0, zz.size, chunk):
             zc = zz[i:i + chunk, None]
             out[i:i + chunk] = np.sum(gw[None, :] / (zc - self.x[None, :]), axis=1)
-        if np.isscalar(z) or np.ndim(z) == 0:
-            return complex(out[0])
         return out
 
 

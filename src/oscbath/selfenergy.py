@@ -34,7 +34,6 @@ from .model import (
     QuadConfig,
     spectral_weight,
     spectral_weight_analytic,
-    spectral_weight_derivative,
     spectral_weight_jet,
 )
 from .quadrature import adaptive_complex_quad, pv_integral_many
@@ -142,12 +141,14 @@ def _alpha(model: ModelParams, z: complex, sheet: Sheet, quad_cfg: QuadConfig,
     lam2 = model.lam**2
     if derivative:
         value = 1.0 + lam2 * _resolvent(model, z, quad_cfg, abs_tol, 2)
-        residue = spectral_weight_derivative
     else:
         value = z - model.omega_bare - lam2 * _resolvent(model, z, quad_cfg, abs_tol, 1)
-        residue = spectral_weight_analytic
     if sheet is Sheet.SECOND_II:
-        value += 2j * math.pi * lam2 * residue(model, z)
+        if derivative:
+            residue = spectral_weight_jet(model, z)[1]
+        else:
+            residue = spectral_weight_analytic(model, z)
+        value += 2j * math.pi * lam2 * residue
     return value
 
 

@@ -221,8 +221,8 @@ def khalfin_exponent(series: AmplitudeSeries, fit_window) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def crossover_times(model: ModelParams, resonance: Resonance,
-                    series: AmplitudeSeries, threshold: float = 0.9):
+def crossover_times(resonance: Resonance, series: AmplitudeSeries,
+                    threshold: float = 0.9):
     """Zeno and Khalfin crossover times from a pole-background series.
 
     t_zeno: first time the local logarithmic slope of P reaches

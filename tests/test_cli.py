@@ -144,6 +144,29 @@ def test_survival_short_spectral_window(cfg_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_survival_absolute_time_span(tmp_path, capsys):
+    # an absolute span of 50 replaces the lifetime-scaled one and ends before
+    # the Khalfin window at 80/gamma
+    out = tmp_path / "out"
+    assert run(["survival", "--config", CONFIGS / "reference.cfg", "--out", out,
+                "--override", "t_max_abs=50"]) == 0
+    last = (out / "survival.csv").read_text().splitlines()[-1].split(",")
+    assert float(last[0]) == 50.0
+    assert json.loads((out / "survival.json").read_text())["khalfin_exponent"] is None
+    capsys.readouterr()
+
+
+def test_survival_crossover_not_bracketed(tmp_path, capsys):
+    # 20 lifetimes end before the tail takes over, so neither crossover is reported
+    out = tmp_path / "out"
+    assert run(["survival", "--config", CONFIGS / "reference.cfg", "--out", out,
+                "--override", "t_max_gamma=20"]) == 0
+    report = json.loads((out / "survival.json").read_text())
+    assert report["t_zeno"] is None
+    assert report["t_khalfin"] is None
+    capsys.readouterr()
+
+
 def test_survival_dual_mismatch_exit_4(cfg_path, tmp_path, capsys):
     code = run(["survival", "--config", cfg_path, "--out", tmp_path / "out",
                 "--override", "dual_tol=1e-18"])
@@ -217,6 +240,18 @@ def test_oracle_decoupled_deviation_zero(cfg_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_oracle_non_monotone_ladder(tmp_path, capsys):
+    # three and four modes are too few to converge: the deviation grows
+    out = tmp_path / "out"
+    assert run(["oracle", "--config", CONFIGS / "reference.cfg", "--out", out,
+                "--override", "oracle_n=3,4"]) == 0
+    report = json.loads((out / "oracle.json").read_text())
+    assert report["monotone_deviation"] is False
+    devs = [entry["max_abs_dP"] for entry in report["ladder"]]
+    assert devs[0] < devs[1]
+    capsys.readouterr()
+
+
 def test_sweep_ordering(tmp_path, capsys):
     p = tmp_path / "sweep.cfg"
     p.write_text("omega = 0.5\nlambda = 0.1\ncutoff = 5\n")
@@ -239,6 +274,19 @@ def test_sweep_single_exponent(tmp_path, capsys):
     assert run(["sweep", "--config", p, "--out", out]) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
     assert len(lines) == 2
+    capsys.readouterr()
+
+
+def test_sweep_decoupled_rates_are_zero(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", CONFIGS / "reference.cfg", "--out", out,
+                "--override", "lambda=0"]) == 0
+    report = json.loads((out / "sweep.json").read_text())
+    for rate in report["rates"]:
+        for key in ("gamma_golden_rule", "gamma_closed_form", "gamma_pole"):
+            assert rate[key] == 0.0
+            assert math.copysign(1.0, rate[key]) == 1.0
+    assert "-0" not in (out / "sweep.csv").read_text()
     capsys.readouterr()
 
 

@@ -175,7 +175,7 @@ def test_equilibrium_approach_and_monotonicity(m1, m1_resonance, quad):
     assert rho00[-1] > 0.999
     # monotone growth inside the exponential window, where the background
     # is subdominant
-    t_zeno, _ = ob.crossover_times(m1, m1_resonance,
+    t_zeno, _ = ob.crossover_times(m1_resonance,
                                    ob.amplitude_pole_background(
                                        m1, m1_resonance,
                                        ob.hybrid_time_grid(1.0, gamma, 200.0 / gamma, 320),

@@ -14,13 +14,13 @@ def test_discretize_two_modes_uniform(m1):
     freqs = np.array([0.5, 1.5]) * step
     assert np.allclose(bath.frequencies, freqs)
     g = 0.1 * np.sqrt(freqs * np.exp(-((freqs / 5.0) ** 2)) * step)
-    h = bath.h_matrix
-    assert h.shape == (3, 3)
-    assert h[0, 0] == 1.0
-    assert np.allclose(np.diag(h)[1:], freqs)
-    assert np.allclose(h[0, 1:], g)
-    assert np.allclose(h[1:, 0], g)
-    assert h[1, 2] == 0.0
+    assert np.allclose(bath.couplings, g)
+    h = np.array([[1.0, g[0], g[1]],
+                  [g[0], freqs[0], 0.0],
+                  [g[1], 0.0, freqs[1]]])
+    vals, vecs = bath.eigensystem()
+    assert np.allclose(vals, np.linalg.eigvalsh(h))
+    assert np.allclose(vecs @ np.diag(vals) @ vecs.T, h)
 
 
 def test_discretize_validation(m1):
@@ -40,8 +40,11 @@ def test_coupling_sum_converges(m1):
 def test_decoupled_bath_is_diagonal():
     m = ob.build_model(1.0, 0.0, 1.0, 5.0, 1.0)
     bath = ob.discretize(m, 64, 40.0, ob.Scheme.GAUSS)
-    off = bath.h_matrix - np.diag(np.diag(bath.h_matrix))
-    assert np.all(off == 0.0)
+    assert np.all(bath.couplings == 0.0)
+    vals, vecs = bath.eigensystem()
+    assert np.array_equal(vals, np.sort(np.concatenate([[1.0], bath.frequencies])))
+    # every eigenvector is a single site: its entries are 0 or +-1
+    assert np.all(np.abs(vecs) ** 2 == np.abs(vecs))
 
 
 def test_oracle_amplitude_starts_at_one(uniform_bath_1000):
