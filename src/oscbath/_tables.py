@@ -24,7 +24,6 @@ grid costs one complex exponential per node per time:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +41,6 @@ _SPECTRAL_MAX_NODES = 500_000
 _INNER_CUT = 1e-5             # peak half-width below which the offset window is used
 _INNER_SPAN = 1e4             # offset window half-span, in peak half-widths
 _RAY_TAIL_TOL = 1e-13         # ray truncation: Gaussian tail bound
-_RAY_OSC_TAIL_TOL = 1e-9      # ray truncation: algebraic tail bound near theta = pi/4
 _RAY_MAX_NODES = 300_000
 
 __all__ = ["SpectralTable", "RayTable", "build_spectral_table", "build_ray_table",
@@ -239,52 +237,37 @@ def _ray_truncation(model: ModelParams, theta: float) -> float:
     n = model.exponent
     cut = model.cutoff
     c2 = math.cos(2.0 * theta)
-    if c2 > 0.02:
-        S = 6.0 * cut
-        for _ in range(60):
-            mag = lam2c * max(S, 1.0) ** n / max(S * S, 1.0)
-            arg = max(math.log(max(mag / _RAY_TAIL_TOL, 2.0)), 1.0)
-            S_new = cut * math.sqrt(arg / c2)
-            if abs(S_new - S) < 1e-9 * S:
-                break
-            S = S_new
-        return max(S, 3.0 * cut)
-    # no Gaussian decay on the ray: fall back to the oscillatory tail bound
-    if n >= 3.0:
-        raise QuadratureFailure(
-            "ray angle too close to pi/4 for exponent >= 3: background tail does not decay"
-        )
-    return max((3.0 * lam2c * cut**2 / _RAY_OSC_TAIL_TOL) ** (1.0 / (3.0 - n)), 3.0 * cut)
+    S = 6.0 * cut
+    for _ in range(60):
+        mag = lam2c * max(S, 1.0) ** n / max(S * S, 1.0)
+        arg = max(math.log(max(mag / _RAY_TAIL_TOL, 2.0)), 1.0)
+        S_new = cut * math.sqrt(arg / c2)
+        if abs(S_new - S) < 1e-9 * S:
+            break
+        S = S_new
+    return max(S, 3.0 * cut)
 
 
 def build_ray_table(model: ModelParams, z0: complex, quad_cfg: QuadConfig,
                     t_max: float, theta: float = DEFAULT_RAY_ANGLE) -> RayTable:
     """Build the rotated-ray table for the non-pole part of the amplitude.
 
-    The ray must pass below the resonance pole (theta > |arg z0|) so that
-    the pole term is the extracted residue; if the requested angle is too
-    close to the pole direction it is adjusted once, and :class:`PoleOnRay`
-    is raised only when no workable angle exists.
+    The angle is used as given.  It must lie in (0, pi/4), where the
+    Gaussian factor of g2 decays along the ray, and pass below the resonance
+    pole (theta > |arg z0|) so that the pole term is the extracted residue;
+    an angle within 0.02 of the pole direction raises :class:`PoleOnRay`.
     """
     if model.lam == 0.0:
         raise ValueError("ray table is undefined for a decoupled oscillator")
-    if not (0.0 < theta < 0.5 * math.pi):
-        raise ValueError("ray angle must lie in (0, pi/2)")
+    if not (0.0 < theta < 0.25 * math.pi):
+        raise ValueError("ray angle must lie in (0, pi/4)")
     pole_angle = abs(math.atan2(z0.imag, z0.real))
-    angle_tol = 0.02
-    if theta <= pole_angle + angle_tol:
-        adjusted = max(2.0 * pole_angle, pole_angle + 0.2)
-        warnings.warn(
-            f"ray angle {theta:.4g} too close to the pole direction {pole_angle:.4g}; "
-            f"using {adjusted:.4g}",
-            RuntimeWarning,
-            stacklevel=2,
+    lowest = pole_angle + 0.02
+    if theta <= lowest:
+        raise PoleOnRay(
+            f"ray angle {theta:.4g} does not pass below the pole at argument "
+            f"{pole_angle:.4g}; admissible angles are ({lowest:.4g}, pi/4)"
         )
-        theta = adjusted
-        if theta <= pole_angle + angle_tol or theta >= 0.49 * math.pi:
-            raise PoleOnRay(
-                f"no deformation angle separates the pole at argument {pole_angle:.4g}"
-            )
 
     S = _ray_truncation(model, theta)
     sin_t, cos_t = math.sin(theta), math.cos(theta)

@@ -15,6 +15,7 @@ populations obey the usual occupation rate equation.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +88,11 @@ def reduced_density(state: OscillatorState, delta0_t: complex,
                     t: float = 0.0) -> DensityMatrix2:
     """Exact reduced density matrix given the survival amplitude at time t."""
     amp = complex(delta0_t)
-    mag = abs(amp)
-    if mag > 1.0 + _BOUND_TOL:
+    try:
+        mag = abs(amp)
+    except OverflowError:  # the modulus exceeds the float range
+        mag = math.inf
+    if not mag <= 1.0 + _BOUND_TOL:  # NaN fails too
         raise AmplitudeOutOfRange(f"|Delta0| = {mag} exceeds the unit bound")
     P = min(mag * mag, 1.0)
     return DensityMatrix2(

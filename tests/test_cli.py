@@ -87,6 +87,35 @@ def test_malformed_line_diagnostic(tmp_path, capsys):
     assert ":2:" in json.loads(capsys.readouterr().err)["message"]
 
 
+def test_config_file_errors_exit_2(tmp_path, capsys):
+    dup = tmp_path / "dup.cfg"
+    dup.write_text(M1_CFG + "lambda = 0.2\n")
+    for args in (["--config", tmp_path / "missing.cfg"],
+                 ["--config", dup],
+                 ["--config", CONFIGS / "reference.cfg", "--override", "bogus=1"]):
+        assert run(["pole", "--out", tmp_path / "out"] + args) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("command", ["pole", "survival", "sweep"])
+@pytest.mark.parametrize("override", ["omega=-1", "cutoff=0"])
+def test_model_parameter_error_class(cfg_path, tmp_path, capsys, command, override):
+    # every subcommand reports a bad model parameter by the model's own class
+    assert run([command, "--config", cfg_path, "--out", tmp_path / "out",
+                "--override", override]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "NonPositiveParameter"
+
+
+@pytest.mark.parametrize("command", ["pole", "survival"])
+def test_pole_in_upper_half_plane_exit_3(tmp_path, capsys, command):
+    # a strong-coupling model inside the benchmark's sampling box
+    p = tmp_path / "upper.cfg"
+    p.write_text("omega = 1.4844001007952778\nlambda = 0.5693375059864305\n"
+                 "exponent = 1.2315595050163481\ncutoff = 2.093369274459863\n")
+    assert run([command, "--config", p, "--out", tmp_path / "out"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "PoleInUpperHalfPlane"
+
+
 def test_solver_failure_exit_3(cfg_path, tmp_path, capsys):
     code = run(["pole", "--config", cfg_path, "--out", tmp_path / "out",
                 "--override", "newton_max_iter=0",
@@ -172,6 +201,49 @@ def test_survival_dual_mismatch_exit_4(cfg_path, tmp_path, capsys):
                 "--override", "dual_tol=1e-18"])
     assert code == 4
     assert json.loads(capsys.readouterr().err)["error"] == "DualMethodMismatch"
+
+
+def test_survival_dual_nan_exit_4(cfg_path, tmp_path, monkeypatch, capsys):
+    # a NaN in either route fails the two-route check instead of passing it
+    def with_nan(*args, **kwargs):
+        series = spectral(*args, **kwargs)
+        series.delta0[1] = math.nan
+        return series
+
+    spectral = cli.amplitude_spectral
+    monkeypatch.setattr(cli, "amplitude_spectral", with_nan)
+    code = run(["survival", "--config", cfg_path, "--out", tmp_path / "out"])
+    assert code == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "DualMethodMismatch"
+
+
+def test_survival_ray_angle_near_quarter_pi(cfg_path, tmp_path, capsys):
+    # the Gaussian tail rule alone truncates the ray up to pi/4
+    out = tmp_path / "out"
+    assert run(["survival", "--config", cfg_path, "--out", out,
+                "--override", "ray_theta=0.78"]) == 0
+    assert json.loads((out / "survival.json").read_text())["dual_method_sup"] < 1e-6
+    capsys.readouterr()
+
+
+# (omega, lambda, exponent, cutoff) whose poles lie at arguments -0.691 and
+# -0.760, beyond the default ray angle pi/5
+STEEP_POLE_MODELS = [
+    (0.32541578306195745, 0.21686674803955486, 0.28447604436102997, 5.919254938419256),
+    (0.29218468110489987, 0.18376525579041023, 0.25125170330807556, 19.07743516178407),
+]
+
+
+@pytest.mark.parametrize("command", ["survival", "density"])
+@pytest.mark.parametrize("params", STEEP_POLE_MODELS)
+def test_steep_pole_on_ray_exit_1(tmp_path, capsys, command, params):
+    p = tmp_path / "steep.cfg"
+    p.write_text("".join(f"{key} = {value!r}\n" for key, value in
+                         zip(("omega", "lambda", "exponent", "cutoff"), params)))
+    assert run([command, "--config", p, "--out", tmp_path / "out"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PoleOnRay"
+    assert "pi/4" in err["message"]
 
 
 def test_density_outputs(cfg_path, tmp_path, capsys):
@@ -318,6 +390,8 @@ def test_csv_outputs_are_bit_stable(cfg_path, tmp_path, capsys):
     ("survival", "ray_theta=2"),
     ("survival", "ray_theta=nan"),
     ("survival", "ray_theta=0"),
+    ("survival", "ray_theta=0.7853981633974483"),
+    ("survival", "ray_theta=1"),
     ("survival", "spectral_t_max_gamma=-1"),
     ("survival", "spectral_t_max_gamma=0"),
     ("oracle", "oracle_window_fraction=0"),

@@ -1,6 +1,7 @@
 """Reduced density matrix algebra and the rate-equation limits."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -48,9 +49,11 @@ def test_random_states_trace_and_positivity():
 
 
 def test_amplitude_out_of_range():
+    # a NaN amplitude, and one whose modulus overflows, fail the bound too
     state = ob.OscillatorState(c11=0.5, c10=0.0)
-    with pytest.raises(ob.AmplitudeOutOfRange):
-        ob.reduced_density(state, 1.0 + 1e-6)
+    for amp in (1.0 + 1e-6, complex(math.nan, 0.0), complex(1.7e308, 1.7e308)):
+        with pytest.raises(ob.AmplitudeOutOfRange):
+            ob.reduced_density(state, amp)
 
 
 def test_state_validation():

@@ -284,16 +284,16 @@ def test_phase_report_ordering_invariant():
                        khalfin_exponent=-4.0, t_zeno=10.0, t_khalfin=1.0)
 
 
-def test_ray_angle_auto_adjust(m1, m1_resonance, quad):
-    # angle below the pole direction is adjusted once, with a warning
-    with pytest.warns(RuntimeWarning):
-        pb = ob.amplitude_pole_background(m1, m1_resonance, np.array([0.0, 1.0]),
-                                          quad, theta=0.02)
-    assert abs(pb.delta0[0] - 1.0) < 1e-6
+def test_ray_angle_not_below_pole(m1, m1_resonance, quad):
+    # the angle is used as given; one that does not pass below the pole fails
+    # with a message that names the admissible interval
+    with pytest.raises(ob.PoleOnRay, match=r"\(0\.05043, pi/4\)"):
+        ob.amplitude_pole_background(m1, m1_resonance, np.array([0.0, 1.0]),
+                                     quad, theta=0.02)
 
 
-@pytest.mark.parametrize("theta", [-0.5, 0.0, 2.0])
+@pytest.mark.parametrize("theta", [-0.5, 0.0, math.pi / 4, 1.0, 2.0])
 def test_ray_angle_out_of_range(m1, m1_resonance, quad, theta):
-    # the range check comes before the one-shot adjustment
-    with pytest.raises(ValueError):
+    # the Gaussian factor of g2 decays along the ray only below pi/4
+    with pytest.raises(ValueError, match="pi/4"):
         build_ray_table(m1, m1_resonance.z0, quad, t_max=1.0, theta=theta)
