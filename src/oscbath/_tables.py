@@ -11,7 +11,11 @@ grid costs one complex exponential per node per time:
   the node positions (tiny couplings), an inner window around the peak
   switches to offset-based nodes with a local quadratic model of the real
   part, which stays exact where direct evaluation would suffer total
-  cancellation.
+  cancellation.  The real part of alpha_plus needs the principal value of
+  the resolvent integral at every node outside that window.  It is computed
+  once at the master grid's nodes and interpolated panel by panel
+  (:func:`table_pv`); only nodes below 1e-2 * cutoff, where the principal
+  value carries a w^n ln w term, take the direct O(master nodes) sum.
 
 * :class:`RayTable` holds nodes on the rotated ray z = s * exp(-i*theta)
   carrying the deformed background integrand
@@ -40,6 +44,7 @@ _RAD_PER_NODE = 0.8           # phase budget per node at the largest requested t
 _SPECTRAL_MAX_NODES = 500_000
 _INNER_CUT = 1e-5             # peak half-width below which the offset window is used
 _INNER_SPAN = 1e4             # offset window half-span, in peak half-widths
+_PV_DIRECT_EDGE = 1e-2        # fraction of the cutoff below which table PVs are summed directly
 _RAY_TAIL_TOL = 1e-13         # ray truncation: Gaussian tail bound
 _RAY_MAX_NODES = 300_000
 
@@ -89,6 +94,27 @@ def axis_profile(model: ModelParams, quad_cfg: QuadConfig,
     xs = (x_of(omega0 + h2) - 2.0 * x_of(omega0) + x_of(omega0 - h2)) / h2**2
     eta = math.pi * model.lam**2 * spectral_weight(model, omega0)
     return AxisProfile(omega0=float(omega0), xprime=float(xp), xsecond=float(xs), eta=float(eta))
+
+
+def table_pv(model: ModelParams, quad_cfg: QuadConfig, grid: MasterGrid, nodes) -> np.ndarray:
+    """PV int_0^T g2(x)/(w - x) dx at a 1-d array of table nodes w in (0, T).
+
+    One ``pv_integral_many`` call at the master grid's own nodes; each node
+    then takes barycentric interpolation on the master panel that holds it.
+    What is interpolated is the PV less its extracted logarithm
+    g2(w) ln(w / (T - w)), which is added back at the node, so the ln(T - w)
+    singularity at the truncation point is not interpolated.  Nodes below
+    ``_PV_DIRECT_EDGE * cutoff`` take the direct sum, because there the PV
+    carries a w^n ln w term that no polynomial fits.
+    """
+    direct = nodes < _PV_DIRECT_EDGE * model.cutoff
+    pv = np.empty(nodes.shape)
+    pv[direct] = pv_integral_many(model, nodes[direct], quad_cfg, grid)
+    T, w = grid.T, nodes[~direct]
+    smooth = (pv_integral_many(model, grid.x, quad_cfg, grid)
+              - grid.g2 * np.log(grid.x / (T - grid.x)))
+    pv[~direct] = grid.interpolate(smooth, w) + spectral_weight(model, w) * np.log(w / (T - w))
+    return pv
 
 
 def node_sum(times, rates, values) -> np.ndarray:
@@ -162,7 +188,7 @@ def build_spectral_table(model: ModelParams, quad_cfg: QuadConfig, t_max: float)
     lam2 = model.lam**2
 
     def outer_weights(nodes, wq):
-        pv = pv_integral_many(model, nodes, quad_cfg, grid)
+        pv = table_pv(model, quad_cfg, grid, nodes)
         g2 = spectral_weight(model, nodes)
         x_re = nodes - model.omega_bare - lam2 * pv
         dens = lam2 * g2 / (x_re**2 + (math.pi * lam2 * g2) ** 2)

@@ -5,6 +5,9 @@ Three layers:
 * composite Gauss-Legendre panels over explicit boundary lists (the fixed
   tables used for vectorized evaluation),
 * a vectorized Cauchy principal-value integral by singularity subtraction,
+  and panel-by-panel barycentric interpolation of values sampled at the
+  master grid's nodes (so a principal value computed once per master node
+  serves any number of points),
 * a vectorized adaptive panel integrator for single-point complex
   integrals, raising :class:`QuadratureFailure` when the error estimate
   misses the target.
@@ -30,6 +33,11 @@ __all__ = [
 
 _MASTER_NODES_PER_PANEL = 16
 _MAX_PANELS = 200_000  # panel budget of graded_boundaries
+# Elements per temporary of the blocked principal-value sums and interpolation
+# (2 MB of float64).  Larger blocks made table builds no faster, and freed
+# temporaries of tens of MB can stay resident in the heap through a later
+# large allocation.
+_BLOCK = 262_144
 
 
 @lru_cache(maxsize=32)
@@ -73,7 +81,9 @@ class MasterGrid:
     """Fixed composite-Gauss grid on [0, T] carrying g2 samples.
 
     Geometric refinement toward 0 keeps near-axis complex evaluation points
-    resolvable and handles the w**n cusp of fractional exponents.
+    resolvable and handles the w**n cusp of fractional exponents.  The panel
+    boundaries are kept in ``bounds``; panel k holds the 16 nodes
+    ``x[16k:16k+16]``.
     """
 
     def __init__(self, model: ModelParams, T: float):
@@ -88,7 +98,8 @@ class MasterGrid:
             x += coarse
         b.append(T)
         self.T = T
-        self.x, self.w = gauss_panels(np.array(b), _MASTER_NODES_PER_PANEL)
+        self.bounds = np.array(b)
+        self.x, self.w = gauss_panels(self.bounds, _MASTER_NODES_PER_PANEL)
         self.g2 = spectral_weight(model, self.x)
 
     def resolvent_integral(self, model: ModelParams, z):
@@ -105,6 +116,35 @@ class MasterGrid:
         for i in range(0, zz.size, chunk):
             zc = zz[i:i + chunk, None]
             out[i:i + chunk] = np.sum(gw[None, :] / (zc - self.x[None, :]), axis=1)
+        return out
+
+    def interpolate(self, values, omegas):
+        """Values given at the grid nodes, interpolated to a 1-d array of points of [0, T].
+
+        Each point takes the degree-15 polynomial through the 16 values of
+        the panel that contains it, in the barycentric form of Berrut &
+        Trefethen, SIAM Rev. 46 (2004) 501; a point on a node takes that
+        node's value.  Accurate where the sampled function is analytic in a
+        neighbourhood of the panel.
+        """
+        om = np.asarray(omegas, dtype=float)
+        nodes = self.x.reshape(-1, _MASTER_NODES_PER_PANEL)
+        vals = values.reshape(nodes.shape)
+        x, w = _leggauss(_MASTER_NODES_PER_PANEL)
+        lam = (-1.0) ** np.arange(x.size) * np.sqrt((1.0 - x * x) * w)  # barycentric weights
+        panel = np.clip(np.searchsorted(self.bounds, om, side="right") - 1,
+                        0, nodes.shape[0] - 1)
+        out = np.empty(om.shape)
+        chunk = _BLOCK // _MASTER_NODES_PER_PANEL
+        for i in range(0, om.size, chunk):
+            p = panel[i:i + chunk]
+            diff = om[i:i + chunk, None] - nodes[p]
+            hit = diff == 0.0
+            c = lam / np.where(hit, 1.0, diff)
+            block = np.sum(c * vals[p], axis=1) / np.sum(c, axis=1)
+            row, col = np.nonzero(hit)
+            block[row] = vals[p[row], col]
+            out[i:i + chunk] = block
         return out
 
 
@@ -129,7 +169,7 @@ def pv_integral_many(model: ModelParams, omegas, quad_cfg: QuadConfig,
     out = np.empty(om.shape)
     g2om, d1, d2 = spectral_weight_jet(model, om)
     delta = 1e-6 * np.maximum(1.0, om)
-    chunk = max(1, int(2_000_000 // max(grid.x.size, 1)))
+    chunk = max(1, _BLOCK // grid.x.size)
     for i in range(0, om.size, chunk):
         oc = om[i:i + chunk, None]
         diff = oc - grid.x[None, :]

@@ -2,8 +2,12 @@
 
 from pathlib import Path
 
+import numpy as np
+
 import oscbath._tables as tables
 import oscbath.cli as cli
+import oscbath.survival as survival
+from oscbath.quadrature import master_grid
 
 
 def test_tracer_installs_and_restores(monkeypatch):
@@ -51,3 +55,24 @@ def test_oracle_builds_one_spectral_table(monkeypatch, tmp_path, capsys):
                          ["oracle", "--override", "oracle_n=200,400,800"])
     assert tracer.counts["tables.spectral_builds"] == 1
     assert tracer.counts["oracle.modes"] == 1400
+
+
+def test_survival_pv_points_bounded(monkeypatch, tmp_path, capsys):
+    # the table's principal values come from one evaluation at the master
+    # nodes; only nodes below the direct-sum edge and the axis profile's
+    # root search add points
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    build = survival.build_spectral_table
+    monkeypatch.setattr(survival, "build_spectral_table", spy)
+    tracer = _traced_run(monkeypatch, tmp_path, capsys, ["survival"])
+    cfg = cli.build_runconfig(cli.parse_config_file(
+        Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"))
+    (table,) = built
+    direct = np.count_nonzero(table.nodes < tables._PV_DIRECT_EDGE * cfg.model.cutoff)
+    grid_size = master_grid(cfg.model, cfg.quad).x.size
+    assert tracer.counts["quadrature.pv_points"] <= grid_size + direct + 64

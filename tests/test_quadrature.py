@@ -1,4 +1,5 @@
-"""Adaptive panel quadrature against QUADPACK and mpmath references."""
+"""Adaptive panel quadrature, principal values and master-grid interpolation
+against QUADPACK and mpmath references."""
 
 import math
 from functools import lru_cache
@@ -9,8 +10,9 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 import oscbath as ob
+from oscbath._tables import build_spectral_table, table_pv
 from oscbath.errors import QuadratureFailure
-from oscbath.quadrature import adaptive_complex_quad
+from oscbath.quadrature import adaptive_complex_quad, master_grid, pv_integral_many
 from oscbath.selfenergy import _alpha, _resolvent
 
 QUAD = ob.QuadConfig()
@@ -177,3 +179,72 @@ def test_single_panel_budget_raises():
 def test_non_finite_integrand_raises():
     with pytest.raises(QuadratureFailure):
         adaptive_complex_quad(lambda w: np.where(w > 0.5, np.nan, 1.0) + 0j, 0.0, 1.0, QUAD)
+
+
+# the reference model and three fractional exponents whose tables reach the w^n cusp
+PV_MODELS = {
+    "m1": M1,
+    "n0.3628": ob.ModelParams(1.1789, 0.3215, 0.3628, 7.0347),
+    "n0.25": ob.ModelParams(1.0, 0.2, 0.25, 5.0),
+    "n0.2845": ob.ModelParams(0.3254, 0.2169, 0.2845, 5.919),
+}
+
+
+def mp_pv(model, x: float) -> float:
+    """PV int_0^T g2(w)/(x - w) dw at 30 digits, in the subtracted form."""
+    T = QUAD.truncation(model)
+    n, cutoff = mp.mpf(model.exponent), mp.mpf(model.cutoff)
+    with mp.workdps(30):
+        def g2(w):
+            return model.prefactor * w**n * mp.exp(-((w / cutoff) ** 2))
+
+        xx = mp.mpf(x)
+        return float(mp.quad(lambda w: (g2(w) - g2(xx)) / (xx - w), [0, xx, T])
+                     + g2(xx) * mp.log(xx / (T - xx)))
+
+
+@pytest.mark.parametrize("name", ["m1", "n0.3628"])
+@pytest.mark.parametrize("fraction", [1e-3, 0.07, 0.25, 0.6, 1.4])
+def test_pv_integral_matches_mpmath(name, fraction):
+    model = PV_MODELS[name]
+    x = fraction * model.cutoff
+    ref = mp_pv(model, x)
+    got = pv_integral_many(model, x, QUAD)
+    # At a fractional exponent the 16 Gauss nodes of the first master panel,
+    # [0, 1e-6*cutoff], miss part of the w^n cusp.  The error of that panel's
+    # integral, divided by x, is about 7e-13*cutoff/x at n = 0.3628.
+    cusp = 0.0 if float(model.exponent).is_integer() else 1e-12 * model.cutoff / x
+    assert abs(got - ref) <= 1e-12 * (abs(ref) + ob.spectral_weight(model, x)) + cusp
+
+
+@pytest.mark.parametrize("name", PV_MODELS)
+def test_interpolated_table_pv_matches_direct_sum(name):
+    # every node of a long-time table: interpolated above 1e-2*cutoff, direct below
+    model = PV_MODELS[name]
+    nodes = build_spectral_table(model, QUAD, t_max=400.0).nodes
+    grid = master_grid(model, QUAD)
+    direct = pv_integral_many(model, nodes, QUAD, grid)
+    scale = np.abs(direct) + ob.spectral_weight(model, nodes)
+    assert np.all(np.abs(table_pv(model, QUAD, grid, nodes) - direct) <= 1e-11 * scale)
+
+
+def test_interpolated_table_pv_near_the_truncation_point():
+    # the PV's g2(w) ln(T - w) term is added back, not interpolated; at the
+    # smallest truncation g2(T) is large enough for it to show
+    quad = ob.QuadConfig(upper_truncation_multiple=4.0)
+    grid = master_grid(M1, quad)
+    nodes = np.linspace(grid.bounds[-2], grid.T, 202)[1:-1]
+    direct = pv_integral_many(M1, nodes, quad, grid)
+    scale = np.abs(direct) + ob.spectral_weight(M1, nodes)
+    assert np.all(np.abs(table_pv(M1, quad, grid, nodes) - direct) <= 1e-11 * scale)
+
+
+def test_master_interpolation_is_exact_on_nodes_and_polynomials():
+    grid = master_grid(M1, QUAD)
+    values = np.cos(grid.x)
+    # a point on a node takes the node's value, without dividing by zero
+    assert np.array_equal(grid.interpolate(values, grid.x), values)
+    # a polynomial of degree 15 is reproduced between the nodes, panel edges included
+    poly = np.polynomial.Legendre(np.linspace(1.0, 0.1, 16), domain=[0.0, grid.T])
+    points = np.concatenate([grid.bounds, 0.5 * (grid.x[1:] + grid.x[:-1])])
+    assert np.allclose(grid.interpolate(poly(grid.x), points), poly(points), rtol=0.0, atol=1e-13)
