@@ -46,7 +46,7 @@ from .model import (
     spectral_weight,
     spectral_weight_analytic,
 )
-from .oracle import DiscreteBath, Scheme, discretize, energy_drift, oracle_amplitude, recurrence_time
+from .oracle import DiscreteBath, Scheme, discretize, oracle_amplitude, recurrence_time
 from .selfenergy import (
     Resonance,
     Sheet,
@@ -85,8 +85,7 @@ __all__ = [
     "amplitude_spectral", "amplitude_pole_background", "survival_probability",
     "zeno_slope", "khalfin_exponent", "crossover_times", "sum_rule",
     "exponential_rate_fit", "DEFAULT_RAY_ANGLE",
-    "Scheme", "DiscreteBath", "discretize", "oracle_amplitude", "energy_drift",
-    "recurrence_time",
+    "Scheme", "DiscreteBath", "discretize", "oracle_amplitude", "recurrence_time",
     "OscillatorState", "DensityMatrix2", "reduced_density", "lindblad_solution",
     "lindblad_trajectory", "pauli_residual", "equilibrium",
     "OscBathError", "NonPositiveParameter", "PositivityViolated",

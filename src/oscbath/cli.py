@@ -378,8 +378,6 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> dict:
         omega_max = quad.truncation(model)
     scheme = Scheme.UNIFORM if cfg["oracle_scheme"] == "uniform" else Scheme.GAUSS
 
-    # the eigensolves come before the one continuum table, whose build
-    # temporaries would otherwise stay in the heap through eigh
     baths = [discretize(model, N, omega_max, scheme) for N in cfg["oracle_n"]]
     t_recs = [recurrence_time(bath) for bath in baths]
     windows = [cfg["oracle_window_fraction"] * t_rec for t_rec in t_recs]

@@ -1,8 +1,11 @@
-"""Pole-search oracle used only by the tests.
+"""Oracles used only by the tests.
 
-A derivative-free search on a fixed graded-panel rule, deliberately
+A derivative-free pole search on a fixed graded-panel rule, deliberately
 independent of the adaptive resolvent and the Newton path in
-``oscbath.selfenergy`` so the two can cross-check each other.
+``oscbath.selfenergy`` so the two can cross-check each other; and a dense
+eigendecomposition of the finite bath's arrow Hamiltonian, independent of
+the package's secular-equation solver, with the energy-drift check that
+needs its full eigenvectors.
 """
 
 import math
@@ -57,3 +60,47 @@ def grid_refine_resonance(model, quad_cfg=None, half_width: float = 0.05,
     res = minimize(objective, center, method="Nelder-Mead",
                    options={"xatol": 1e-13, "fatol": 1e-16, "maxiter": 500})
     return complex(res.x[0], res.x[1])
+
+
+def dense_arrow(corner, diagonal, border):
+    """(eigenvalues, eigenvectors) of the arrow matrix [[corner, border],
+    [border, diag(diagonal)]] by dense eigh."""
+    h = np.diag(np.concatenate([[corner], diagonal]))
+    h[0, 1:] = border
+    h[1:, 0] = border
+    return np.linalg.eigh(h)
+
+
+def dense_eigensystem(bath):
+    """(eigenvalues, eigenvectors) of the bath's one-particle Hamiltonian."""
+    return dense_arrow(bath.model.omega_bare, bath.frequencies, bath.couplings)
+
+
+def energy_drift(bath, coefficients, tgrid) -> float:
+    """Relative drift of <H> along the exact evolution of a one-particle state.
+
+    The state is evolved through the eigenbasis but the energy is formed by
+    the O(N) arrow product H c in the site basis, so the result measures real
+    numerical error rather than an algebraic identity.
+    """
+    c0 = np.asarray(coefficients, dtype=complex)
+    if c0.shape != (bath.frequencies.size + 1,):
+        raise ob.NotNormalized("coefficient vector has the wrong length")
+    norm = np.linalg.norm(c0)
+    if abs(norm - 1.0) > 1e-10:
+        raise ob.NotNormalized(f"initial state norm {norm} differs from 1")
+    g, w = bath.couplings, bath.frequencies
+
+    def energy(c):
+        hc = np.concatenate([[bath.model.omega_bare * c[0] + g @ c[1:]], g * c[0] + w * c[1:]])
+        return np.real(np.vdot(c, hc))
+
+    vals, vecs = dense_eigensystem(bath)
+    a0 = vecs.T @ c0
+    e_ref = energy(c0)
+    if e_ref == 0.0:
+        raise ob.NotNormalized("reference energy vanishes; relative drift is undefined")
+    worst = 0.0
+    for t in np.asarray(tgrid, dtype=float):
+        worst = max(worst, abs(energy(vecs @ (np.exp(-1j * vals * t) * a0)) - e_ref))
+    return worst / abs(e_ref)

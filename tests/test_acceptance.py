@@ -14,7 +14,7 @@ import pytest
 
 import oscbath as ob
 from conftest import state_sampler
-from oracles import grid_refine_resonance
+from oracles import energy_drift, grid_refine_resonance
 from oscbath.selfenergy import _resolvent
 
 
@@ -234,6 +234,6 @@ def test_criterion_11_energy_conservation(m1):
     bath = ob.discretize(m1, 1000, 40.0, ob.Scheme.GAUSS)
     c0 = np.zeros(1001)
     c0[0] = 1.0
-    drift = ob.energy_drift(bath, c0, np.linspace(0.0, 200.0, 60))
+    drift = energy_drift(bath, c0, np.linspace(0.0, 200.0, 60))
     assert drift < 1e-10
     _ok("11", f"relative energy drift {drift:.2e} on the excited-oscillator state")

@@ -57,6 +57,19 @@ def test_oracle_builds_one_spectral_table(monkeypatch, tmp_path, capsys):
     assert tracer.counts["oracle.modes"] == 1400
 
 
+def test_oracle_solves_each_rung_once_without_eigh(monkeypatch, tmp_path, capsys):
+    # the bench attributes the eigensolve to DiscreteBath.eigensystem; the
+    # package's secular solver never calls dense eigh
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    tracer = _traced_run(monkeypatch, tmp_path, capsys,
+                         ["oracle", "--override", "oracle_n=500,1000"])
+    assert [span[0] for span in tracer.spans].count("oracle.eigh") == 2
+    assert tracer.counts["oracle.modes"] == 1500
+
+
 def test_survival_pv_points_bounded(monkeypatch, tmp_path, capsys):
     # the table's principal values come from one evaluation at the master
     # nodes; only nodes below the direct-sum edge and the axis profile's

@@ -1,11 +1,15 @@
 """Finite-bath discretization, exact evolution, and recurrence behavior."""
 
 import math
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import oscbath as ob
+from oracles import dense_arrow, dense_eigensystem, energy_drift
+from oscbath.oracle import arrow_eigensystem
 
 
 def test_discretize_two_modes_uniform(m1):
@@ -18,7 +22,7 @@ def test_discretize_two_modes_uniform(m1):
     h = np.array([[1.0, g[0], g[1]],
                   [g[0], freqs[0], 0.0],
                   [g[1], 0.0, freqs[1]]])
-    vals, vecs = bath.eigensystem()
+    vals, vecs = dense_eigensystem(bath)
     assert np.allclose(vals, np.linalg.eigvalsh(h))
     assert np.allclose(vecs @ np.diag(vals) @ vecs.T, h)
 
@@ -41,10 +45,12 @@ def test_decoupled_bath_is_diagonal():
     m = ob.build_model(1.0, 0.0, 1.0, 5.0, 1.0)
     bath = ob.discretize(m, 64, 40.0, ob.Scheme.GAUSS)
     assert np.all(bath.couplings == 0.0)
-    vals, vecs = bath.eigensystem()
+    vals, overlaps = bath.eigensystem()
     assert np.array_equal(vals, np.sort(np.concatenate([[1.0], bath.frequencies])))
-    # every eigenvector is a single site: its entries are 0 or +-1
-    assert np.all(np.abs(vecs) ** 2 == np.abs(vecs))
+    # every eigenvector is a single site: the oscillator weight is all on omega_bare
+    one_hot = np.zeros(65)
+    one_hot[np.searchsorted(vals, 1.0)] = 1.0
+    assert np.array_equal(overlaps, one_hot)
 
 
 def test_oracle_amplitude_starts_at_one(uniform_bath_1000):
@@ -53,7 +59,7 @@ def test_oracle_amplitude_starts_at_one(uniform_bath_1000):
 
 
 def test_discrete_sum_rule(uniform_bath_1000):
-    _, vecs = uniform_bath_1000.eigensystem()
+    _, vecs = dense_eigensystem(uniform_bath_1000)
     assert np.sum(vecs[0, :] ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -109,14 +115,14 @@ def test_energy_drift_excited_oscillator(m1):
     bath = ob.discretize(m1, 500, 40.0, ob.Scheme.GAUSS)
     c0 = np.zeros(501)
     c0[0] = 1.0
-    drift = ob.energy_drift(bath, c0, np.linspace(0.0, 200.0, 50))
+    drift = energy_drift(bath, c0, np.linspace(0.0, 200.0, 50))
     assert drift < 1e-10
 
 
 def test_energy_drift_stationary_state(m1):
     bath = ob.discretize(m1, 200, 40.0, ob.Scheme.GAUSS)
-    _, vecs = bath.eigensystem()
-    drift = ob.energy_drift(bath, vecs[:, 60], np.linspace(0.0, 100.0, 20))
+    _, vecs = dense_eigensystem(bath)
+    drift = energy_drift(bath, vecs[:, 60], np.linspace(0.0, 100.0, 20))
     assert drift < 1e-12
 
 
@@ -124,7 +130,7 @@ def test_energy_drift_rejects_unnormalized(m1):
     bath = ob.discretize(m1, 10, 40.0, ob.Scheme.GAUSS)
     bad = np.full(11, 0.5)
     with pytest.raises(ob.NotNormalized):
-        ob.energy_drift(bath, bad, np.array([0.0, 1.0]))
+        energy_drift(bath, bad, np.array([0.0, 1.0]))
 
 
 def test_discrete_positivity(m1, uniform_bath_1000):
@@ -132,7 +138,7 @@ def test_discrete_positivity(m1, uniform_bath_1000):
     assert np.all(vals > 0)
 
 
-def test_discrete_positivity_fails_for_inadmissible_couplings():
+def _inadmissible_arrow():
     # an oscillator frequency below the coupling-induced shift cannot be
     # built as a model, so assemble the same arrow matrix by hand
     N = 400
@@ -142,10 +148,125 @@ def test_discrete_positivity_fails_for_inadmissible_couplings():
     lam = 0.5
     g2 = freqs * np.exp(-((freqs / 5.0) ** 2))
     couplings = lam * np.sqrt(g2 * step)
+    return 0.01, freqs, couplings  # margin would be 0.01 - 0.25*sqrt(pi)*5/2 < 0
+
+
+def test_discrete_positivity_fails_for_inadmissible_couplings():
+    corner, freqs, couplings = _inadmissible_arrow()
+    N = freqs.size
     h = np.zeros((N + 1, N + 1))
-    h[0, 0] = 0.01  # margin would be 0.01 - 0.25*sqrt(pi)*5/2 < 0
+    h[0, 0] = corner
     h[np.arange(1, N + 1), np.arange(1, N + 1)] = freqs
     h[0, 1:] = couplings
     h[1:, 0] = couplings
     vals = np.linalg.eigvalsh(h)
     assert vals.min() < 0
+    energies, _ = arrow_eigensystem(corner, freqs, couplings)
+    assert np.max(np.abs(energies - vals)) <= 1e-13 * freqs.max()
+    assert energies.min() < 0
+
+
+def _assert_matches_dense(energies, overlaps, corner, diagonal, border, window=None):
+    vals, vecs = dense_arrow(corner, diagonal, border)
+    assert np.max(np.abs(energies - vals)) <= 1e-13 * np.max(np.abs(diagonal))
+    assert np.max(np.abs(overlaps - vecs[0] ** 2)) <= 1e-12
+    assert abs(overlaps.sum() - 1.0) <= 1e-13
+    if window is not None:
+        t = np.linspace(0.0, window, 320)
+        amp = np.exp(-1j * np.outer(t, energies)) @ overlaps
+        ref = np.exp(-1j * np.outer(t, vals)) @ vecs[0] ** 2
+        assert np.max(np.abs(amp - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", [ob.Scheme.UNIFORM, ob.Scheme.GAUSS])
+@pytest.mark.parametrize("N", [500, 1000, 2000])
+def test_secular_solver_matches_dense(m1, scheme, N):
+    # the Gauss tail couplings fall to about 5e-17 and deflate
+    bath = ob.discretize(m1, N, 40.0, scheme)
+    energies, overlaps = bath.eigensystem()
+    _assert_matches_dense(energies, overlaps, 1.0, bath.frequencies, bath.couplings,
+                          window=0.2 * ob.recurrence_time(bath))
+
+
+def test_secular_solver_two_modes(m1):
+    bath = ob.discretize(m1, 2, 31.0, ob.Scheme.UNIFORM)
+    _assert_matches_dense(*bath.eigensystem(), 1.0, bath.frequencies, bath.couplings)
+
+
+def test_secular_solver_omega_on_a_mode(m1):
+    bath = ob.discretize(m1, 20, 40.0, ob.Scheme.UNIFORM)
+    assert bath.frequencies[0] == m1.omega_bare
+    _assert_matches_dense(*bath.eigensystem(), 1.0, bath.frequencies, bath.couplings)
+
+
+def test_secular_solver_bound_state():
+    corner, freqs, couplings = _inadmissible_arrow()
+    energies, overlaps = arrow_eigensystem(corner, freqs, couplings)
+    assert energies[0] < 0.0 < freqs[0]
+    _assert_matches_dense(energies, overlaps, corner, freqs, couplings)
+
+
+def test_secular_solver_coincident_modes():
+    # repeated and unsorted frequencies: one of each equal pair is an
+    # eigenpair with no oscillator weight
+    freqs = np.array([3.0, 1.0, 2.0, 2.0, 0.5, 1.0, 2.0])
+    couplings = np.array([0.1, 0.2, 0.05, 0.3, 0.1, 0.15, 0.2])
+    energies, overlaps = arrow_eigensystem(1.5, freqs, couplings)
+    _assert_matches_dense(energies, overlaps, 1.5, freqs, couplings)
+    assert np.count_nonzero(overlaps) == 5
+
+
+def test_secular_solver_rejects_nan(m1):
+    bath = ob.discretize(m1, 50, 40.0, ob.Scheme.UNIFORM)
+    couplings = bath.couplings.copy()
+    couplings[7] = np.nan
+    with pytest.raises(ob.EigensolveFailure):
+        ob.DiscreteBath(m1, bath.frequencies, couplings).eigensystem()
+
+
+def test_secular_solver_memory_is_linear(m1):
+    # a dense (N+1)^2 matrix would take 122 MB
+    bath = ob.discretize(m1, 4000, 40.0, ob.Scheme.UNIFORM)
+    tracemalloc.start()
+    try:
+        bath.eigensystem()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def _mp_arrow(corner, diagonal, border):
+    # 40-digit eigendecomposition: energies and squared corner components
+    n = diagonal.size
+    with mp.workdps(40):
+        h = mp.matrix(n + 1, n + 1)
+        h[0, 0] = corner
+        for j in range(n):
+            h[j + 1, j + 1] = diagonal[j]
+            h[0, j + 1] = h[j + 1, 0] = border[j]
+        vals, vecs = mp.eigsy(h)
+        energies = np.array([float(v) for v in vals])
+        overlaps = np.array([float(vecs[0, k] ** 2) for k in range(n + 1)])
+    order = np.argsort(energies)
+    return energies[order], overlaps[order]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_secular_solver_matches_mpmath(seed):
+    # small arrows with repeated modes, couplings from 1e-20 to 3 and the
+    # corner often on a mode; eigenvalues closer than 1e-12 of the scale
+    # form one cluster, whose overlaps are compared as a sum
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    freqs = rng.choice(np.arange(6.0), n) + rng.uniform(0.0, 1.0) * (rng.random() < 0.5)
+    couplings = rng.normal(size=n) * 10.0 ** rng.uniform(-20.0, 0.5, n)
+    corner = float(rng.choice(np.r_[freqs, rng.uniform(-3.0, 8.0)]))
+    energies, overlaps = arrow_eigensystem(corner, freqs, couplings)
+    ref_e, ref_o = _mp_arrow(corner, freqs, couplings)
+    scale = max(abs(corner), np.abs(freqs).max(), np.linalg.norm(couplings))
+    assert np.max(np.abs(energies - ref_e)) <= 1e-14 * scale
+    starts = np.r_[0, np.flatnonzero(np.diff(ref_e) > 1e-12 * scale) + 1]
+    assert np.max(np.abs(np.add.reduceat(overlaps, starts)
+                         - np.add.reduceat(ref_o, starts))) <= 1e-13
+    assert abs(overlaps.sum() - 1.0) <= 1e-13
