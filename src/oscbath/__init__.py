@@ -31,7 +31,6 @@ from .errors import (
     OnCut,
     OrderingViolated,
     OscBathError,
-    OscillationUnderResolved,
     PoleInUpperHalfPlane,
     PoleOnRay,
     PositivityViolated,
@@ -90,9 +89,8 @@ __all__ = [
     "lindblad_trajectory", "pauli_residual", "equilibrium",
     "OscBathError", "NonPositiveParameter", "PositivityViolated",
     "NegativeFrequency", "BranchCutHit", "OnCut", "QuadratureFailure",
-    "NoConvergence", "PoleInUpperHalfPlane", "OscillationUnderResolved",
-    "PoleOnRay", "GridTooCoarse", "WindowBeforeCrossover",
-    "CrossoverNotBracketed", "InvalidDiscretization", "EigensolveFailure",
-    "NotNormalized", "AmplitudeOutOfRange", "ConfigError", "DualMethodMismatch",
-    "OrderingViolated", "DensityInvariantViolated",
+    "NoConvergence", "PoleInUpperHalfPlane", "PoleOnRay", "GridTooCoarse",
+    "WindowBeforeCrossover", "CrossoverNotBracketed", "InvalidDiscretization",
+    "EigensolveFailure", "NotNormalized", "AmplitudeOutOfRange", "ConfigError",
+    "DualMethodMismatch", "OrderingViolated", "DensityInvariantViolated",
 ]

@@ -1,26 +1,29 @@
 """Precomputed quadrature tables for the two survival-amplitude routes.
 
-Both routes reduce the amplitude to a weighted node sum, so a dense time
-grid costs one complex exponential per node per time:
-
-* :class:`SpectralTable` holds real-axis nodes carrying the nonnegative
-  weight lam^2 g2(w) / |alpha_plus(w)|^2.  Panel widths are capped by three
-  competing scales: the resonance peak (Lorentzian-like, half-width
-  eta / X'), the coupling-density scale, and the phase budget at the largest
-  requested time.  When the peak half-width drops below float resolution of
-  the node positions (tiny couplings), an inner window around the peak
-  switches to offset-based nodes with a local quadratic model of the real
-  part, which stays exact where direct evaluation would suffer total
-  cancellation.  The real part of alpha_plus needs the principal value of
-  the resolvent integral at every node outside that window.  It is computed
-  once at the master grid's nodes and interpolated panel by panel
-  (:func:`table_pv`); only nodes below 1e-2 * cutoff, where the principal
-  value carries a w^n ln w term, take the direct O(master nodes) sum.
+* :class:`SpectralTable` holds real-axis Gauss panels carrying the
+  nonnegative weight lam^2 g2(w) / |alpha_plus(w)|^2.  Panel widths resolve
+  the weight alone, capped by the resonance peak (Lorentzian-like, half-width
+  eta / X') and the coupling-density scale, so the table does not depend on
+  the requested times.  The amplitude integrates each panel's polynomial
+  interpolant of the weight against exp(-i w t) exactly, from the panel's
+  Legendre moments and the spherical Bessel functions j_k (a Filon-type rule:
+  Iserles & Norsett, Proc. R. Soc. A 461 (2005) 1383), so its cost per time
+  is one short sum per panel at every t.  When the peak half-width drops
+  below float resolution of the node positions (tiny couplings), an inner
+  window around the peak switches to offset-based nodes with a local
+  quadratic model of the real part, which stays exact where direct
+  evaluation would suffer total cancellation.  The real part of alpha_plus
+  needs the principal value of the resolvent integral at every node outside
+  that window.  It is computed once at the master grid's nodes and
+  interpolated panel by panel (:func:`table_pv`); only nodes below
+  1e-2 * cutoff, where the principal value carries a w^n ln w term, take the
+  direct O(master nodes) sum.
 
 * :class:`RayTable` holds nodes on the rotated ray z = s * exp(-i*theta)
   carrying the deformed background integrand
-  lam^2 g2(z) / (alpha_I(z) alpha_II(z)).  On the ray the Gaussian factor of
-  g2 decays like exp(-s^2 cos(2 theta)/cutoff^2) and the time factor like
+  lam^2 g2(z) / (alpha_I(z) alpha_II(z)), evaluated as a weighted node sum.
+  On the ray the Gaussian factor of g2 decays like
+  exp(-s^2 cos(2 theta)/cutoff^2) and the time factor like
   exp(-s t sin(theta)), so the angle must stay below pi/4 for the table to
   truncate at t = 0; the default angle pi/5 keeps both decay channels open.
 """
@@ -33,15 +36,18 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import OscillationUnderResolved, PoleOnRay, QuadratureFailure
+from .errors import PoleOnRay, QuadratureFailure
 from .model import ModelParams, QuadConfig, spectral_weight, spectral_weight_analytic
-from .quadrature import MasterGrid, gauss_panels, graded_boundaries, master_grid, pv_integral_many
+from .quadrature import (_BLOCK, MasterGrid, _leggauss, gauss_panels, graded_boundaries,
+                         master_grid, pv_integral_many)
 
 DEFAULT_RAY_ANGLE = math.pi / 5.0
 
 _NODES_PER_PANEL = 24         # Gauss nodes per panel of both tables
-_RAD_PER_NODE = 0.8           # phase budget per node at the largest requested time
-_SPECTRAL_MAX_NODES = 500_000
+_INNER_NODES = 20             # Gauss nodes per panel of the spectral table's offset window
+_RAD_PER_NODE = 0.8           # ray table: phase budget per node at the largest requested time
+_SERIES_EDGE = 1e-3           # j_k: argument below which the power series is used
+_MILLER_EXTRA = 20            # j_k: Miller recurrence starts this far above the highest order
 _INNER_CUT = 1e-5             # peak half-width below which the offset window is used
 _INNER_SPAN = 1e4             # offset window half-span, in peak half-widths
 _PV_DIRECT_EDGE = 1e-2        # fraction of the cutoff below which table PVs are summed directly
@@ -121,58 +127,156 @@ def node_sum(times, rates, values) -> np.ndarray:
     """sum_j values_j * exp(rates_j * t) at every t, chunked over the times."""
     t = np.asarray(times, dtype=float)
     out = np.empty(t.size, dtype=complex)
-    chunk = max(1, 4_000_000 // max(rates.size, 1))  # about 4M exponentials per chunk
+    chunk = max(1, _BLOCK // max(rates.size, 1))
     for i in range(0, t.size, chunk):
         out[i:i + chunk] = np.exp(np.outer(t.ravel()[i:i + chunk], rates)) @ values
     return out.reshape(t.shape)
 
 
+def spherical_jn(n: int, a) -> np.ndarray:
+    """j_0(a), ..., j_{n-1}(a) at a 1-d array of a >= 0, as an (n, a.size) array.
+
+    Upward recurrence from sin and cos where a > n; Miller's downward
+    recurrence, normalised by sum_k (2k+1) j_k^2 = 1, for 1e-3 <= a <= n;
+    and the series a^k/(2k+1)!! * (1 - h/(2k+3) + h^2/(2(2k+3)(2k+5))),
+    h = a^2/2, below 1e-3, which divides by nothing at a = 0.  Its third
+    term keeps j_0 exact to rounding at the switch, where the first two
+    alone are off by a^4/120 = 8e-15.  Each branch runs on its own
+    arguments, gathered before its loop.
+    """
+    a = np.asarray(a, dtype=float)
+    out = np.empty((n, a.size))
+    small = a < _SERIES_EDGE
+    up = a > n
+    for branch, mask in ((_jn_series, small), (_jn_upward, up), (_jn_miller, ~(small | up))):
+        idx = np.nonzero(mask)[0]
+        if idx.size:
+            out[:, idx] = branch(n, a[idx])
+    return out
+
+
+def _jn_series(n: int, a):
+    out = np.empty((n, a.size))
+    term = np.ones(a.size)  # a^k / (2k+1)!!
+    h = 0.5 * a * a
+    for k in range(n):
+        out[k] = term * (1.0 - h / (2 * k + 3) * (1.0 - 0.5 * h / (2 * k + 5)))
+        term = term * a / (2 * k + 3)
+    return out
+
+
+def _jn_upward(n: int, a):
+    out = np.empty((max(n, 2), a.size))
+    inv = 1.0 / a
+    out[0] = np.sin(a) * inv
+    out[1] = (out[0] - np.cos(a)) * inv
+    for k in range(1, n - 1):
+        out[k + 1] = (2 * k + 1) * inv * out[k] - out[k - 1]
+    return out[:n]
+
+
+def _jn_miller(n: int, a):
+    # Starting at order K from a^K/(2K+1)!!, about the size of j_K(a), keeps
+    # every value near unit scale for a in [1e-3, n]: no overflow, no rescaling.
+    K = n + _MILLER_EXTRA
+    out = np.empty((max(n, 2), a.size))
+    inv = 1.0 / a
+    f = np.exp(K * np.log(a) - np.sum(np.log(2.0 * np.arange(K + 1) + 1.0)))
+    above = np.zeros(a.size)
+    norm = (2 * K + 1) * f * f
+    for k in range(K, 0, -1):
+        f, above = (2 * k + 1) * inv * f - above, f
+        norm += (2 * k - 1) * f * f
+        if k <= out.shape[0]:
+            out[k - 1] = f
+    # the normalisation fixes the magnitude; the sign is that of j_0, j_1
+    j0 = np.sin(a) * inv
+    j1 = (j0 - np.cos(a)) * inv
+    out *= np.copysign(1.0 / np.sqrt(norm), out[0] * j0 + out[1] * j1)
+    return out[:n]
+
+
 @dataclass
 class SpectralTable:
-    """Fixed nodes/weights such that amplitude(t) = sum w_j exp(-i x_j t)."""
+    """Gauss panels of the spectral weight, with their Legendre moments.
+
+    Panel p has centre ``centres[p]`` and half-width ``halfwidths[p]``; its
+    samples at the Gauss abscissae xi_j of [-1, 1] carry the table weights
+    W_pj, and ``moments[p, k]`` is sum_j W_pj P_k(xi_j) (zero above the
+    panel's own node count).  ``nodes`` and ``weights`` hold every sample,
+    sorted by node.  The amplitude integrates each panel's interpolant of
+    the weight against exp(-i w t) exactly:
+
+        amplitude(t) = sum_p exp(-i c_p t) sum_k (2k+1) (-i)^k j_k(h_p t) m_pk,
+
+    by int_{-1}^{1} P_k(x) exp(-i a x) dx = 2 (-i)^k j_k(a).  At t = 0 this
+    is the node sum sum_j W_j.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
-    t_max: float
+    centres: np.ndarray
+    halfwidths: np.ndarray
+    moments: np.ndarray
     sum_defect: float = field(init=False)
 
     def __post_init__(self):
         self.sum_defect = float(self.weights.sum() - 1.0)
 
     def amplitude(self, times) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        if t.size and t.max() > self.t_max * (1.0 + 1e-9) + 1e-30:
-            raise OscillationUnderResolved(
-                f"table resolves phases up to t={self.t_max:.6g}, requested {t.max():.6g}"
-            )
-        return node_sum(t, -1j * self.nodes, self.weights)
+        t = np.asarray(times, dtype=float)
+        flat = t.ravel()
+        n = self.moments.shape[1]
+        k = np.arange(n)
+        # (2k+1)(-i)^k m_k: real for even k, imaginary for odd k
+        coef = (2 * k + 1) * np.where(k % 4 < 2, 1.0, -1.0) * self.moments
+        even, odd = coef[:, 0::2], -coef[:, 1::2]
+        out = np.zeros(flat.size, dtype=complex)
+        pairs = max(1, _BLOCK // n)  # panel-time pairs per block of j_k values
+        tc = max(1, min(flat.size, pairs))
+        pc = max(1, pairs // tc)
+        for i in range(0, flat.size, tc):
+            ts = flat[i:i + tc]
+            for p in range(0, self.centres.size, pc):
+                h = self.halfwidths[p:p + pc]
+                jn = spherical_jn(n, np.outer(h, ts).ravel()).reshape(n, h.size, ts.size)
+                inner = (np.einsum("pk,kpt->pt", even[p:p + pc], jn[0::2])
+                         + 1j * np.einsum("pk,kpt->pt", odd[p:p + pc], jn[1::2]))
+                phase = np.exp(-1j * np.outer(self.centres[p:p + pc], ts))
+                out[i:i + tc] += np.einsum("pt,pt->t", phase, inner)
+        return out.reshape(t.shape)
 
 
-def _estimate_nodes(T: float, t_max: float) -> int:
-    phase_panels = 0 if t_max <= 0 else T * t_max / (_RAD_PER_NODE * _NODES_PER_PANEL)
-    return int(_NODES_PER_PANEL * (phase_panels + 400))
+def _panels(bounds, weights, xi, n: int):
+    """Centres, half-widths and Legendre moments of Gauss panels.
+
+    ``weights`` holds each panel's table weights in the order of ``xi``,
+    the panel's local coordinate of its samples; the moments are padded to
+    ``n`` orders.
+    """
+    centres = 0.5 * (bounds[1:] + bounds[:-1])
+    halfwidths = 0.5 * (bounds[1:] - bounds[:-1])
+    moments = np.zeros((centres.size, n))
+    moments[:, :xi.size] = (weights.reshape(centres.size, xi.size)
+                            @ np.polynomial.legendre.legvander(xi, xi.size - 1))
+    return centres, halfwidths, moments
 
 
-def build_spectral_table(model: ModelParams, quad_cfg: QuadConfig, t_max: float) -> SpectralTable:
-    """Build the real-axis weight table resolving phases up to ``t_max``.
+def build_spectral_table(model: ModelParams, quad_cfg: QuadConfig) -> SpectralTable:
+    """Build the real-axis weight table, on panels that resolve the weight.
 
-    The table records the time its widest panel resolves, which is at least
-    ``t_max``.  A decoupled model is one node at omega_bare with weight 1,
-    exact at every time.
+    The same table serves every time.  A decoupled model is one node at
+    omega_bare with weight 1, a panel of zero width, exact at every time.
     """
     if model.lam == 0.0:
-        return SpectralTable(nodes=np.array([model.omega_bare]), weights=np.array([1.0]),
-                             t_max=math.inf)
+        one = np.array([1.0])
+        return SpectralTable(nodes=np.array([model.omega_bare]), weights=one,
+                             centres=np.array([model.omega_bare]), halfwidths=np.zeros(1),
+                             moments=one[:, None])
     grid = master_grid(model, quad_cfg)
     T = grid.T
-    if _estimate_nodes(T, t_max) > _SPECTRAL_MAX_NODES:
-        raise OscillationUnderResolved(
-            f"resolving t_max={t_max:.4g} over [0,{T:.3g}] needs more than "
-            f"{_SPECTRAL_MAX_NODES} nodes; shorten the requested time span"
-        )
     prof = axis_profile(model, quad_cfg, grid)
     om0, halfw = prof.omega0, prof.halfwidth
-    h_phase = math.inf if t_max <= 0 else _RAD_PER_NODE * _NODES_PER_PANEL / t_max
     coarse = model.cutoff / 2.5
     inner = halfw < _INNER_CUT
     peak_floor = max(halfw / 2.0, 0.0) if not inner else 0.0
@@ -181,7 +285,7 @@ def build_spectral_table(model: ModelParams, quad_cfg: QuadConfig, t_max: float)
         d = min(_INNER_SPAN * halfw, 0.1 * min(om0, T - om0))
 
     def width(x):
-        w = min(coarse, h_phase, max(x / 2.0, 1e-4 * model.cutoff))
+        w = min(coarse, max(x / 2.0, 1e-4 * model.cutoff))
         scale = max(abs(x - om0) / 3.0, peak_floor if not inner else d / 3.0)
         return min(w, scale) if scale > 0 else w
 
@@ -194,11 +298,12 @@ def build_spectral_table(model: ModelParams, quad_cfg: QuadConfig, t_max: float)
         dens = lam2 * g2 / (x_re**2 + (math.pi * lam2 * g2) ** 2)
         return dens * wq
 
+    x_outer, _ = _leggauss(_NODES_PER_PANEL)
     if not inner:
         bounds = graded_boundaries(0.0, T, width)
         nodes, wq = gauss_panels(bounds, _NODES_PER_PANEL)
         weights = outer_weights(nodes, wq)
-        widest = np.diff(bounds).max()
+        panels = [_panels(bounds, weights, x_outer, _NODES_PER_PANEL)]
     else:
         b_left = graded_boundaries(0.0, om0 - d, width)
         b_right = graded_boundaries(om0 + d, T, width)
@@ -206,19 +311,23 @@ def build_spectral_table(model: ModelParams, quad_cfg: QuadConfig, t_max: float)
         n_r, w_r = gauss_panels(b_right, _NODES_PER_PANEL)
         outer_nodes = np.concatenate([n_l, n_r])
         outer_w = outer_weights(outer_nodes, np.concatenate([w_l, w_r]))
+        panels = [_panels(b_left, outer_w[:n_l.size], x_outer, _NODES_PER_PANEL),
+                  _panels(b_right, outer_w[n_l.size:], x_outer, _NODES_PER_PANEL)]
 
         # Inner window in the scaled offset u = (w - omega0)/halfwidth.  The
         # real part is modeled as X' * delta + X''/2 * delta^2, which keeps
-        # full precision where omega0 + delta would round to omega0.
+        # full precision where omega0 + delta would round to omega0.  Each
+        # panel's local coordinate comes from u, not from its rounded nodes.
         span = d / halfw
-        cap = math.inf if t_max <= 0 else _RAD_PER_NODE * 20 / (halfw * t_max)
         bx = [0.0]
-        u = min(1.0, max(cap, 1e-3))
+        u = 1.0
         while u < span:
             bx.append(u)
-            u = min(u * 2.0, u + cap)
+            u *= 2.0
         bx.append(span)
-        ux, uw = gauss_panels(np.array(bx), 20)
+        bx = np.array(bx)
+        ux, uw = gauss_panels(bx, _INNER_NODES)
+        x_inner, _ = _leggauss(_INNER_NODES)
         inner_nodes = []
         inner_w = []
         for side in (1.0, -1.0):
@@ -228,20 +337,15 @@ def build_spectral_table(model: ModelParams, quad_cfg: QuadConfig, t_max: float)
             dens = lam2 * g2v / (xloc**2 + (math.pi * lam2 * g2v) ** 2)
             inner_nodes.append(om0 + delta)
             inner_w.append(dens * uw * halfw)
+            c, h, m = _panels(bx, inner_w[-1], side * x_inner, _NODES_PER_PANEL)
+            panels.append((om0 + side * halfw * c, halfw * h, m))
         nodes = np.concatenate([outer_nodes] + inner_nodes)
         weights = np.concatenate([outer_w] + inner_w)
-        # an inner panel of 20 nodes counts as one of 24 nodes this much wider
-        widest = max(np.diff(b_left).max(), np.diff(b_right).max(),
-                     halfw * np.diff(bx).max() * _NODES_PER_PANEL / 20)
 
-    if nodes.size > _SPECTRAL_MAX_NODES:
-        raise OscillationUnderResolved(
-            f"table construction produced {nodes.size} nodes, above the cap {_SPECTRAL_MAX_NODES}"
-        )
     order = np.argsort(nodes)
-    resolved = _RAD_PER_NODE * _NODES_PER_PANEL / widest
-    return SpectralTable(nodes=nodes[order], weights=weights[order],
-                         t_max=float(max(t_max, resolved)))
+    centres, halfwidths, moments = (np.concatenate(part) for part in zip(*panels))
+    return SpectralTable(nodes=nodes[order], weights=weights[order], centres=centres,
+                         halfwidths=halfwidths, moments=moments)
 
 
 @dataclass

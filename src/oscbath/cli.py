@@ -6,7 +6,7 @@ artifacts into the output directory, and prints the JSON report to stdout.
 Exit codes: 0 success, 2 config, 3 solver, 4 dual-method disagreement,
 5 density invariant, 6 rate ordering, and 1 for any other
 :class:`OscBathError` (for example ``QuadratureFailure``,
-``OscillationUnderResolved``, ``PoleOnRay`` or ``WindowBeforeCrossover``).
+``PoleOnRay`` or ``WindowBeforeCrossover``).
 Failures emit a machine-readable JSON object on stderr whose ``error`` field
 names the class.
 
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, survival
 from .density import OscillatorState, lindblad_solution, reduced_density
 from .errors import (
     ConfigError,
@@ -384,7 +384,7 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> dict:
     grids = [np.linspace(0.0, window, min(cfg["n_points"], 320)) for window in windows]
     p_discs = [np.abs(oracle_amplitude(bath, grid).delta0) ** 2
                for bath, grid in zip(baths, grids)]
-    table = amplitude_spectral(model, [0.0, max(windows)], quad).table
+    table = survival.build_spectral_table(model, quad)  # one table serves every window
 
     rows = []
     summary = []

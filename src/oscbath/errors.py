@@ -48,10 +48,6 @@ class PoleInUpperHalfPlane(OscBathError):
     """The located root is not a decaying resonance (Im z0 >= 0)."""
 
 
-class OscillationUnderResolved(OscBathError):
-    """Requested times need more quadrature nodes than the configured cap."""
-
-
 class PoleOnRay(OscBathError):
     """The resonance pole sits too close to the deformation ray."""
 

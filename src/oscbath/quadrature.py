@@ -111,11 +111,18 @@ class MasterGrid:
         """
         zz = np.asarray(z, dtype=complex)
         out = np.empty(zz.shape, dtype=complex)
-        chunk = max(1, int(4_000_000 // max(self.x.size, 1)))
+        chunk = max(1, _BLOCK // self.x.size)
         gw = self.g2 * self.w
+        # 1/(z - x) = (d - ib)/(d^2 + b^2) with d = Re z - x, b = Im z: two real sums
         for i in range(0, zz.size, chunk):
-            zc = zz[i:i + chunk, None]
-            out[i:i + chunk] = np.sum(gw[None, :] / (zc - self.x[None, :]), axis=1)
+            zc = zz[i:i + chunk]
+            d = zc.real[:, None] - self.x
+            r = d * d
+            r += (zc.imag**2)[:, None]
+            np.reciprocal(r, out=r)
+            out.imag[i:i + chunk] = -zc.imag * (r @ gw)
+            d *= r
+            out.real[i:i + chunk] = d @ gw
         return out
 
     def interpolate(self, values, omegas):

@@ -128,12 +128,13 @@ def amplitude_spectral(model: ModelParams, tgrid,
                        quad_cfg: QuadConfig | None = None) -> AmplitudeSeries:
     """Survival amplitude from the real-axis spectral integral.
 
-    The weight is tabulated once on phase-resolving nodes and reused for
-    every grid time; the series keeps the table.
+    The weight is tabulated once on panels that resolve it and integrated
+    against exp(-i omega t) exactly on each panel, at every grid time; the
+    series keeps the table.
     """
     quad_cfg = quad_cfg or QuadConfig()
     t = _validated_grid(tgrid)
-    table = build_spectral_table(model, quad_cfg, t_max=float(t.max()))
+    table = build_spectral_table(model, quad_cfg)
     return AmplitudeSeries(times=t, delta0=table.amplitude(t), model=model, table=table)
 
 
@@ -268,7 +269,7 @@ def crossover_times(resonance: Resonance, series: AmplitudeSeries,
 def sum_rule(model: ModelParams, quad_cfg: QuadConfig | None = None) -> float:
     """Total mass of the spectral weight; equals 1 by completeness."""
     quad_cfg = quad_cfg or QuadConfig()
-    table = build_spectral_table(model, quad_cfg, t_max=0.0)
+    table = build_spectral_table(model, quad_cfg)
     return float(table.weights.sum())
 
 

@@ -49,6 +49,20 @@ def test_survival_builds_one_spectral_table(monkeypatch, tmp_path, capsys):
     assert tracer.counts["tables.spectral_builds"] == 1
 
 
+def test_survival_table_is_the_sum_rule_table(monkeypatch, tmp_path, capsys):
+    # the table resolves the weight alone, so the survival run's table is the
+    # one that sum_rule builds for t = 0
+    tracer = _traced_run(monkeypatch, tmp_path, capsys, ["survival"])
+    cfg = cli.build_runconfig(cli.parse_config_file(
+        Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"))
+    built = []
+    build = survival.build_spectral_table
+    monkeypatch.setattr(survival, "build_spectral_table",
+                        lambda *args: built.append(build(*args)) or built[-1])
+    survival.sum_rule(cfg.model, cfg.quad)
+    assert tracer.counts["tables.spectral_nodes"] == built[0].nodes.size
+
+
 def test_oracle_builds_one_spectral_table(monkeypatch, tmp_path, capsys):
     # the table for the widest window serves every rung of the ladder
     tracer = _traced_run(monkeypatch, tmp_path, capsys,

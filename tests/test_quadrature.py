@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 import oscbath as ob
-from oscbath._tables import build_spectral_table, table_pv
+from oscbath._tables import build_spectral_table, spherical_jn, table_pv
 from oscbath.errors import QuadratureFailure
 from oscbath.quadrature import adaptive_complex_quad, master_grid, pv_integral_many
 from oscbath.selfenergy import _alpha, _resolvent
@@ -219,10 +219,12 @@ def test_pv_integral_matches_mpmath(name, fraction):
 
 @pytest.mark.parametrize("name", PV_MODELS)
 def test_interpolated_table_pv_matches_direct_sum(name):
-    # every node of a long-time table: interpolated above 1e-2*cutoff, direct below
+    # every node of a table, and a dense sweep of (0, T): interpolated above
+    # 1e-2*cutoff, direct below
     model = PV_MODELS[name]
-    nodes = build_spectral_table(model, QUAD, t_max=400.0).nodes
     grid = master_grid(model, QUAD)
+    nodes = np.union1d(build_spectral_table(model, QUAD).nodes,
+                       np.linspace(0.0, grid.T, 20_001)[1:-1])
     direct = pv_integral_many(model, nodes, QUAD, grid)
     scale = np.abs(direct) + ob.spectral_weight(model, nodes)
     assert np.all(np.abs(table_pv(model, QUAD, grid, nodes) - direct) <= 1e-11 * scale)
@@ -248,3 +250,20 @@ def test_master_interpolation_is_exact_on_nodes_and_polynomials():
     poly = np.polynomial.Legendre(np.linspace(1.0, 0.1, 16), domain=[0.0, grid.T])
     points = np.concatenate([grid.bounds, 0.5 * (grid.x[1:] + grid.x[:-1])])
     assert np.allclose(grid.interpolate(poly(grid.x), points), poly(points), rtol=0.0, atol=1e-13)
+
+
+# the series switch at 1e-3, the recurrence switch at n = 24, zeros of sin
+# on both sides of it, and a large argument
+JN_ARGS = [0.0, 1e-12, 1e-3 * (1 - 1e-9), 1e-3 * (1 + 1e-9), 0.02, 0.7, 3.0, 11.5,
+           24.0 * (1 - 1e-12), 24.0, 24.0 * (1 + 1e-12), 30.0,
+           math.pi, 2 * math.pi, 7 * math.pi, 8 * math.pi, 9 * math.pi, 1e4]
+
+
+def test_spherical_bessel_against_mpmath():
+    got = spherical_jn(24, np.array(JN_ARGS))
+    with mp.workdps(40):
+        for i, a in enumerate(JN_ARGS):
+            for k in range(24):
+                ref = (mp.mpf(k == 0) if a == 0.0 else
+                       mp.sqrt(mp.pi / (2 * mp.mpf(a))) * mp.besselj(k + mp.mpf(1) / 2, a))
+                assert abs(got[k, i] - float(ref)) < 1e-14, (k, a)

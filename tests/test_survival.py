@@ -119,7 +119,7 @@ def test_zeno_slope_and_quadratic(m1, m1_spectral):
 
 def test_zeno_variance_identity(m1, quad):
     # table moments: the variance of the spectral measure equals lam^2 int g2
-    table = build_spectral_table(m1, quad, t_max=0.0)
+    table = build_spectral_table(m1, quad)
     w, x = table.weights, table.nodes
     variance = np.sum(w * x**2) - np.sum(w * x) ** 2
     assert variance == pytest.approx(0.01 * ob.spectral_moment(m1, 0), abs=1e-6)
@@ -242,22 +242,42 @@ def test_phase_structure_descend_plateau_rise(m1_resonance, m1_pb_long):
     assert trend == [-1.0, 0.0, 1.0]
 
 
-def test_oscillation_cap(m1, quad):
-    with pytest.raises(ob.OscillationUnderResolved):
-        ob.amplitude_spectral(m1, np.array([0.0, 1e7]), quad)
+def test_spectral_route_at_long_times(m1, m1_resonance, quad):
+    # the table resolves the weight, not the phase, so one table serves any t
+    times = np.concatenate([[0.0], np.geomspace(1.0, 1e7, 29)])
+    sp = ob.amplitude_spectral(m1, times, quad)
+    pb = ob.amplitude_pole_background(m1, m1_resonance, times, quad)
+    assert np.max(np.abs(sp.delta0 - pb.delta0)) < 1e-13
 
 
-def test_table_records_resolved_time(m1, quad):
-    # the widest panel, cutoff / 2.5, resolves 0.8 rad per node up to t = 9.6
-    table = build_spectral_table(m1, quad, t_max=0.0)
-    assert table.t_max == pytest.approx(9.6, rel=1e-12)
-    table.amplitude(np.array([9.6]))
-    with pytest.raises(ob.OscillationUnderResolved):
-        table.amplitude(np.array([9.7]))
+# lambda 0.0037: a peak half-width below 1e-5, so the table has an offset window
+NARROW = ob.build_model(0.9242823536284637, 0.003703903132941654, 2.709637661197955,
+                        7.360923263001053)
+
+
+@pytest.mark.parametrize("name", ["m1", "narrow"])
+def test_filon_is_the_node_sum_where_panels_resolve_phase(m1, quad, name):
+    # where h*t <= 1 on every panel, the panel rule and the Gauss node sum
+    # of the same table agree to rounding; the node sum is taken in extended
+    # precision, because in double its own rounding is about 7e-16
+    table = build_spectral_table(m1 if name == "m1" else NARROW, quad)
+    times = np.linspace(0.0, 1.0 / table.halfwidths.max(), 17)
+    x, w = table.nodes.astype(np.longdouble), table.weights.astype(np.longdouble)
+    direct = np.array([np.sum(w * np.exp(-1j * x * t)) for t in times.astype(np.longdouble)])
+    assert np.max(np.abs(table.amplitude(times) - direct)) < 1e-15
+
+
+def test_narrow_resonance_routes_agree(quad):
+    # once past the old phase-resolving node cap; out to about 10 lifetimes
+    res = ob.find_resonance(NARROW, quad)
+    grid = ob.hybrid_time_grid(NARROW.omega_bare, res.gamma, 1.5e5, 320)
+    sp = ob.amplitude_spectral(NARROW, grid, quad)
+    pb = ob.amplitude_pole_background(NARROW, res, grid, quad)
+    assert np.max(np.abs(sp.delta0 - pb.delta0)) < 1e-10
 
 
 def test_node_sum_across_chunks():
-    # 1.5M rates put 2 times in each 4M-exponential chunk: 7 times span 4 chunks
+    # 1.5M rates: every time is a chunk of its own
     rng = np.random.default_rng(7)
     s = rng.uniform(0.0, 40.0, 1_500_000)
     rates = (-math.sin(0.6) - 1j * math.cos(0.6)) * s
