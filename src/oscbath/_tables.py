@@ -224,7 +224,7 @@ class SpectralTable:
         self.sum_defect = float(self.weights.sum() - 1.0)
 
     def amplitude(self, times) -> np.ndarray:
-        t = np.asarray(times, dtype=float)
+        t = np.atleast_1d(np.asarray(times, dtype=float))
         flat = t.ravel()
         n = self.moments.shape[1]
         k = np.arange(n)

@@ -178,13 +178,13 @@ def pv_integral_many(model: ModelParams, omegas, quad_cfg: QuadConfig,
     delta = 1e-6 * np.maximum(1.0, om)
     chunk = max(1, _BLOCK // grid.x.size)
     for i in range(0, om.size, chunk):
-        oc = om[i:i + chunk, None]
-        diff = oc - grid.x[None, :]
-        near = np.abs(diff) < delta[i:i + chunk, None]
-        safe = np.where(near, 1.0, diff)
-        quot = (grid.g2[None, :] - g2om[i:i + chunk, None]) / safe
-        taylor = -(d1[i:i + chunk, None] + 0.5 * d2[i:i + chunk, None] * (-diff))
-        quot = np.where(near, taylor, quot)
+        diff = om[i:i + chunk, None] - grid.x
+        row, col = np.nonzero(np.abs(diff) < delta[i:i + chunk, None])
+        offset = diff[row, col]
+        diff[row, col] = 1.0
+        quot = grid.g2 - g2om[i:i + chunk, None]
+        quot /= diff
+        quot[row, col] = -(d1[i + row] + 0.5 * d2[i + row] * (-offset))
         out[i:i + chunk] = quot @ grid.w
     out += g2om * np.log(om / (grid.T - om))
     if np.isscalar(omegas) or np.ndim(omegas) == 0:
