@@ -124,12 +124,21 @@ def table_pv(model: ModelParams, quad_cfg: QuadConfig, grid: MasterGrid, nodes) 
 
 
 def node_sum(times, rates, values) -> np.ndarray:
-    """sum_j values_j * exp(rates_j * t) at every t, chunked over the times."""
+    """sum_j values_j * exp(rates_j * t) at every t.
+
+    The times go in blocks of at most ``_BLOCK`` exponentials, all computed
+    in one buffer: a fresh 4 MB temporary per block was measured slower.
+    """
     t = np.asarray(times, dtype=float)
-    out = np.empty(t.size, dtype=complex)
+    flat = t.ravel()
+    out = np.empty(flat.size, dtype=complex)
     chunk = max(1, _BLOCK // max(rates.size, 1))
-    for i in range(0, t.size, chunk):
-        out[i:i + chunk] = np.exp(np.outer(t.ravel()[i:i + chunk], rates)) @ values
+    buf = np.empty((min(chunk, flat.size), rates.size), dtype=complex)
+    for i in range(0, flat.size, chunk):
+        block = buf[:flat[i:i + chunk].size]
+        np.multiply.outer(flat[i:i + chunk], rates, out=block)
+        np.exp(block, out=block)
+        out[i:i + chunk] = block @ values
     return out.reshape(t.shape)
 
 

@@ -56,9 +56,13 @@ def test_survival_table_is_the_sum_rule_table(monkeypatch, tmp_path, capsys):
     cfg = cli.build_runconfig(cli.parse_config_file(
         Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"))
     built = []
+
+    def spy(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
     build = survival.build_spectral_table
-    monkeypatch.setattr(survival, "build_spectral_table",
-                        lambda *args: built.append(build(*args)) or built[-1])
+    monkeypatch.setattr(survival, "build_spectral_table", spy)
     survival.sum_rule(cfg.model, cfg.quad)
     assert tracer.counts["tables.spectral_nodes"] == built[0].nodes.size
 

@@ -264,6 +264,6 @@ def test_spherical_bessel_against_mpmath():
     with mp.workdps(40):
         for i, a in enumerate(JN_ARGS):
             for k in range(24):
-                ref = (mp.mpf(k == 0) if a == 0.0 else
+                ref = (mp.mpf(1 if k == 0 else 0) if a == 0.0 else
                        mp.sqrt(mp.pi / (2 * mp.mpf(a))) * mp.besselj(k + mp.mpf(1) / 2, a))
                 assert abs(got[k, i] - float(ref)) < 1e-14, (k, a)
