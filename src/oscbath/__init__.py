@@ -55,7 +55,6 @@ from .selfenergy import (
     alpha_boundary,
     find_resonance,
     perturbative_resonance,
-    principal_value,
 )
 from .survival import (
     DEFAULT_RAY_ANGLE,
@@ -79,7 +78,7 @@ __all__ = [
     "ModelParams", "QuadConfig", "build_model", "spectral_weight",
     "spectral_weight_analytic", "spectral_moment",
     "Sheet", "Side", "SheetPoint", "Resonance", "alpha", "alpha_boundary",
-    "principal_value", "perturbative_resonance", "find_resonance",
+    "perturbative_resonance", "find_resonance",
     "AmplitudeSeries", "PhaseReport", "ZenoFit", "hybrid_time_grid",
     "amplitude_spectral", "amplitude_pole_background", "survival_probability",
     "zeno_slope", "khalfin_exponent", "crossover_times", "sum_rule",

@@ -34,12 +34,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import PoleOnRay, QuadratureFailure
 from .model import ModelParams, QuadConfig, spectral_weight, spectral_weight_analytic
-from .quadrature import (_BLOCK, MasterGrid, _leggauss, gauss_panels, graded_boundaries,
-                         master_grid, pv_integral_many)
+from .quadrature import (_BLOCK, MasterGrid, _brentq, _leggauss, gauss_panels,
+                         graded_boundaries, master_grid, pv_integral_many)
 
 DEFAULT_RAY_ANGLE = math.pi / 5.0
 
@@ -93,7 +92,7 @@ def axis_profile(model: ModelParams, quad_cfg: QuadConfig,
             "could not bracket the resonance position on the real axis; "
             "the oscillator frequency may exceed the truncated bath range"
         )
-    omega0 = brentq(x_of, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    omega0 = _brentq(x_of, lo, hi, xtol=1e-15, rtol=8.9e-16)
     h = 1e-5 * max(1.0, omega0)
     xp = (x_of(omega0 + h) - x_of(omega0 - h)) / (2.0 * h)
     h2 = 1e-4 * max(1.0, omega0)

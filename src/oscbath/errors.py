@@ -1,7 +1,7 @@
 """Exception types raised by the library.
 
 Every failure mode that a caller can act on gets its own class; generic
-numpy/scipy errors are wrapped at the boundary where they occur.
+numpy errors are wrapped at the boundary where they occur.
 """
 
 

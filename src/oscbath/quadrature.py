@@ -10,16 +10,21 @@ Three layers:
   serves any number of points),
 * a vectorized adaptive panel integrator for single-point complex
   integrals, raising :class:`QuadratureFailure` when the error estimate
-  misses the target.
+  misses the target,
+
+and a scalar bracketed root finder (Brent's method) for the two real roots
+the library needs: the resonance position on the real axis and the Khalfin
+crossover time.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import NoConvergence, QuadratureFailure
 from .model import ModelParams, QuadConfig, spectral_weight, spectral_weight_jet
 
 __all__ = [
@@ -38,6 +43,8 @@ _MAX_PANELS = 200_000  # panel budget of graded_boundaries
 # temporaries of tens of MB can stay resident in the heap through a later
 # large allocation.
 _BLOCK = 262_144
+_BRENT_RTOL = 4 * np.finfo(float).eps  # SciPy's default rtol for brentq, the smallest it accepts
+_BRENT_MAXITER = 100
 
 
 @lru_cache(maxsize=32)
@@ -234,3 +241,64 @@ def adaptive_complex_quad(f, a: float, b: float, quad_cfg: QuadConfig,
         raise QuadratureFailure(f"adaptive quadrature error estimate {err.sum():.3g} "
                                 f"exceeds target on [{a}, {b}]")
     return complex(np.sum(left + right))
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float = _BRENT_RTOL) -> float:
+    """Root of the scalar function ``f`` in [a, b], where f(a) and f(b) differ in sign.
+
+    Brent's method (R. P. Brent, Algorithms for Minimization Without
+    Derivatives, 1973, ch. 4), ported statement by statement from SciPy's
+    ``optimize/Zeros/brentq.c`` (Charles Harris; SciPy is BSD-3-Clause) with
+    its default ``rtol`` and iteration cap, so it returns the same double as
+    ``scipy.optimize.brentq``: a root within xtol + rtol*|root|.  Raises
+    ``ValueError`` on a NaN value or a same-sign bracket, and
+    :class:`NoConvergence` after ``_BRENT_MAXITER`` iterations.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; root search cannot continue")
+        return fx
+
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        bisect = True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                num, den = -fcur * (xcur - xpre), fcur - fpre
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
+            # a zero denominator makes the C step infinite or NaN, which bisects
+            if den != 0:
+                stry = num / den
+                if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                    spre, scur = scur, stry
+                    bisect = False
+        if bisect:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NoConvergence(f"Brent root search did not converge in {_BRENT_MAXITER} iterations; "
+                        f"last iterate {xcur!r}")

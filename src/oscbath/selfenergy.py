@@ -45,7 +45,6 @@ __all__ = [
     "Resonance",
     "alpha",
     "alpha_boundary",
-    "principal_value",
     "perturbative_resonance",
     "find_resonance",
 ]
@@ -170,13 +169,6 @@ def alpha_boundary(model: ModelParams, omega: float, side: Side = Side.PLUS,
     real = omega - model.omega_bare - model.lam**2 * pv
     imag = math.pi * model.lam**2 * spectral_weight(model, float(omega))
     return complex(real, imag if side is Side.PLUS else -imag)
-
-
-def principal_value(model: ModelParams, omega: float,
-                    quad_cfg: QuadConfig | None = None) -> float:
-    """PV int_0^T g2(w')/(omega - w') dw' by singularity subtraction."""
-    quad_cfg = quad_cfg or QuadConfig()
-    return float(pv_integral_many(model, float(omega), quad_cfg))
 
 
 def perturbative_resonance(model: ModelParams, quad_cfg: QuadConfig | None = None) -> complex:

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._tables import (DEFAULT_RAY_ANGLE, RayTable, SpectralTable, build_ray_table,
                       build_spectral_table)
 from .errors import CrossoverNotBracketed, GridTooCoarse, WindowBeforeCrossover
 from .model import ModelParams, QuadConfig
+from .quadrature import _brentq
 from .selfenergy import Resonance
 
 __all__ = [
@@ -262,7 +262,7 @@ def crossover_times(resonance: Resonance, series: AmplitudeSeries,
         pole = abs(np.exp(-1j * z0 * tt) / a_prime)
         return float(abs(series.table.background(np.array([tt]))[0]) - pole)
 
-    t_khalfin = brentq(excess, t[i], t[i + 1], xtol=1e-10 * max(t[i + 1], 1.0))
+    t_khalfin = _brentq(excess, t[i], t[i + 1], xtol=1e-10 * max(t[i + 1], 1.0))
     return float(t_zeno), float(t_khalfin)
 
 

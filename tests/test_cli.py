@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 from pathlib import Path
 
@@ -10,7 +13,8 @@ import pytest
 import oscbath.cli as cli
 from oscbath.errors import ConfigError, DensityInvariantViolated
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 M1_CFG = """\
 # reference model
@@ -44,6 +48,21 @@ def test_pole_report(cfg_path, tmp_path, capsys):
     assert report["z0_im"] < 0
     printed = json.loads(capsys.readouterr().out)
     assert printed == report
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # a fresh interpreter: the test session itself has scipy loaded
+    script = (
+        "import sys\n"
+        "import oscbath.cli as cli\n"
+        f"assert cli.main(['pole', '--config', {str(CONFIGS / 'reference.cfg')!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=tmp_path, env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_pole_decoupled(cfg_path, tmp_path):

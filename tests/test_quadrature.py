@@ -1,18 +1,20 @@
-"""Adaptive panel quadrature, principal values and master-grid interpolation
-against QUADPACK and mpmath references."""
+"""Adaptive panel quadrature, principal values, master-grid interpolation
+and the Brent root finder against QUADPACK, mpmath and SciPy references."""
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
+from scipy.optimize import brentq as scipy_brentq
 
 import oscbath as ob
+import oscbath.quadrature as quadrature
 from oscbath._tables import build_spectral_table, spherical_jn, table_pv
-from oscbath.errors import QuadratureFailure
-from oscbath.quadrature import adaptive_complex_quad, master_grid, pv_integral_many
+from oscbath.errors import NoConvergence, QuadratureFailure
+from oscbath.quadrature import _brentq, adaptive_complex_quad, master_grid, pv_integral_many
 from oscbath.selfenergy import _alpha, _resolvent
 
 QUAD = ob.QuadConfig()
@@ -267,3 +269,70 @@ def test_spherical_bessel_against_mpmath():
                 ref = (mp.mpf(1 if k == 0 else 0) if a == 0.0 else
                        mp.sqrt(mp.pi / (2 * mp.mpf(a))) * mp.besselj(k + mp.mpf(1) / 2, a))
                 assert abs(got[k, i] - float(ref)) < 1e-14, (k, a)
+
+
+def _axis_models():
+    """The reference, a fractional exponent, a coupling at 0.99 of the positivity
+    limit, and 21 seeded models across the admissible space."""
+    def model(omega, frac, exponent, cutoff):
+        limit = math.sqrt(omega / (0.5 * cutoff**exponent * math.gamma(exponent / 2.0)))
+        return ob.ModelParams(float(omega), float(frac * limit), float(exponent), float(cutoff))
+
+    models = [M1, FRACTIONAL, model(1.0, 0.99, 1.0, 5.0)]
+    rng = np.random.default_rng(7)
+    for _ in range(21):
+        omega, cutoff = np.exp(rng.uniform(np.log([0.3, 1.0]), np.log([3.0, 10.0])))
+        frac, exponent = rng.uniform([0.0, 0.3], [0.95, 2.5])
+        models.append(model(omega, frac, exponent, cutoff))
+    return models
+
+
+@pytest.mark.parametrize("rtol", [None, 8.9e-16])
+def test_brent_root_of_x_matches_scipy(rtol):
+    # the axis_profile root X(omega0) = 0, on the same bracket
+    kw = {} if rtol is None else {"rtol": rtol}
+    for model in _axis_models():
+        grid = master_grid(model, QUAD)
+
+        def x_of(w):
+            return w - model.omega_bare - model.lam**2 * pv_integral_many(model, w, QUAD, grid)
+
+        lo, hi = 1e-6 * model.cutoff, grid.T - 1e-6 * model.cutoff
+        assert x_of(lo) < 0 < x_of(hi)
+        assert _brentq(x_of, lo, hi, xtol=1e-15, **kw) == scipy_brentq(x_of, lo, hi,
+                                                                       xtol=1e-15, **kw)
+
+
+SMOOTH = [
+    lambda x, c: math.tanh(3.0 * (x - c)) + 0.05 * math.sin(7.0 * x),
+    lambda x, c: (x - c) ** 3 + 0.1 * (x - c),
+    lambda x, c: math.exp(x) - math.exp(c),
+    lambda x, c: math.atan(40.0 * (x - c)),
+    lambda x, c: (x - c) * (1.0 + x * x) + 1e-3 * math.cos(30.0 * x),
+    lambda x, c: math.log1p(x + 3.0) - math.log1p(c + 3.0),
+]
+
+
+@pytest.mark.parametrize("rtol", [None, 8.9e-16])
+@pytest.mark.parametrize("xtol", [1e-15, 1e-10, 1e-6])
+def test_brent_root_of_smooth_functions_matches_scipy(xtol, rtol):
+    kw = {} if rtol is None else {"rtol": rtol}
+    rng = np.random.default_rng(11)
+    for k, f in enumerate(SMOOTH):
+        for c, lo, hi in rng.uniform([0.1, -2.0, 2.0], [1.9, 0.0, 4.0], (20, 3)):
+            g = partial(f, c=c)
+            assert _brentq(g, lo, hi, xtol, **kw) == scipy_brentq(g, lo, hi, xtol=xtol, **kw), \
+                (k, c, lo, hi)
+
+
+def test_brent_failures_are_typed(monkeypatch):
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda x: math.nan, 0.0, 1.0, 1e-12)
+    # a NaN met at an interior iterate, not at the bracket
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0, 1e-12)
+    monkeypatch.setattr(quadrature, "_BRENT_MAXITER", 3)
+    with pytest.raises(NoConvergence):
+        _brentq(lambda x: math.tanh(x - 0.3), -4.0, 4.0, 1e-15)
