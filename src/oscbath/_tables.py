@@ -14,14 +14,14 @@
   quadratic model of the real part, which stays exact where direct
   evaluation would suffer total cancellation.  The real part of alpha_plus
   needs the principal value of the resolvent integral at every node outside
-  that window.  It is computed once at the master grid's nodes and
-  interpolated panel by panel (:func:`table_pv`); only nodes below
-  1e-2 * cutoff, where the principal value carries a w^n ln w term, take the
-  direct O(master nodes) sum.
+  that window; all of them come from one call of the model's Cauchy rule
+  (:func:`~oscbath.quadrature.pv_integral_many`), and the window's X' and
+  X'' from the same rule in closed form.
 
 * :class:`RayTable` holds nodes on the rotated ray z = s * exp(-i*theta)
   carrying the deformed background integrand
-  lam^2 g2(z) / (alpha_I(z) alpha_II(z)), evaluated as a weighted node sum.
+  lam^2 g2(z) / (alpha_I(z) alpha_II(z)), evaluated as a weighted node sum;
+  alpha_I on the ray comes from the Cauchy rule.
   On the ray the Gaussian factor of g2 decays like
   exp(-s^2 cos(2 theta)/cutoff^2) and the time factor like
   exp(-s t sin(theta)), so the angle must stay below pi/4 for the table to
@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import PoleOnRay, QuadratureFailure
 from .model import ModelParams, QuadConfig, spectral_weight, spectral_weight_analytic
-from .quadrature import (_BLOCK, MasterGrid, _brentq, _leggauss, gauss_panels,
-                         graded_boundaries, master_grid, pv_integral_many)
+from .quadrature import (_BLOCK, CauchyRule, _brentq, _leggauss, gauss_panels,
+                         graded_boundaries, pv_integral_many)
 
 DEFAULT_RAY_ANGLE = math.pi / 5.0
 
@@ -49,7 +49,6 @@ _SERIES_EDGE = 1e-3           # j_k: argument below which the power series is us
 _MILLER_EXTRA = 20            # j_k: Miller recurrence starts this far above the highest order
 _INNER_CUT = 1e-5             # peak half-width below which the offset window is used
 _INNER_SPAN = 1e4             # offset window half-span, in peak half-widths
-_PV_DIRECT_EDGE = 1e-2        # fraction of the cutoff below which table PVs are summed directly
 _RAY_TAIL_TOL = 1e-13         # ray truncation: Gaussian tail bound
 _RAY_MAX_NODES = 300_000
 
@@ -77,12 +76,15 @@ class AxisProfile:
 
 
 def axis_profile(model: ModelParams, quad_cfg: QuadConfig,
-                 grid: MasterGrid | None = None) -> AxisProfile:
-    grid = grid or master_grid(model, quad_cfg)
-    T = grid.T
+                 rule: CauchyRule | None = None) -> AxisProfile:
+    """omega0 by Brent's method on X, then X' = 1 + lam^2 Re R_2 and
+    X'' = -2 lam^2 Re R_3 at omega0 from the Cauchy rule."""
+    rule = rule or CauchyRule(model)
+    T = quad_cfg.truncation(model)
+    lam2 = model.lam**2
 
     def x_of(w):
-        return w - model.omega_bare - model.lam**2 * pv_integral_many(model, w, quad_cfg, grid)
+        return w - model.omega_bare - lam2 * pv_integral_many(model, w, rule)
 
     lo = 1e-6 * model.cutoff
     hi = T - 1e-6 * model.cutoff
@@ -93,33 +95,10 @@ def axis_profile(model: ModelParams, quad_cfg: QuadConfig,
             "the oscillator frequency may exceed the truncated bath range"
         )
     omega0 = _brentq(x_of, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    h = 1e-5 * max(1.0, omega0)
-    xp = (x_of(omega0 + h) - x_of(omega0 - h)) / (2.0 * h)
-    h2 = 1e-4 * max(1.0, omega0)
-    xs = (x_of(omega0 + h2) - 2.0 * x_of(omega0) + x_of(omega0 - h2)) / h2**2
-    eta = math.pi * model.lam**2 * spectral_weight(model, omega0)
+    xp = 1.0 + lam2 * rule.resolvent(omega0, 2).real
+    xs = -2.0 * lam2 * rule.resolvent(omega0, 3).real
+    eta = math.pi * lam2 * spectral_weight(model, omega0)
     return AxisProfile(omega0=float(omega0), xprime=float(xp), xsecond=float(xs), eta=float(eta))
-
-
-def table_pv(model: ModelParams, quad_cfg: QuadConfig, grid: MasterGrid, nodes) -> np.ndarray:
-    """PV int_0^T g2(x)/(w - x) dx at a 1-d array of table nodes w in (0, T).
-
-    One ``pv_integral_many`` call at the master grid's own nodes; each node
-    then takes barycentric interpolation on the master panel that holds it.
-    What is interpolated is the PV less its extracted logarithm
-    g2(w) ln(w / (T - w)), which is added back at the node, so the ln(T - w)
-    singularity at the truncation point is not interpolated.  Nodes below
-    ``_PV_DIRECT_EDGE * cutoff`` take the direct sum, because there the PV
-    carries a w^n ln w term that no polynomial fits.
-    """
-    direct = nodes < _PV_DIRECT_EDGE * model.cutoff
-    pv = np.empty(nodes.shape)
-    pv[direct] = pv_integral_many(model, nodes[direct], quad_cfg, grid)
-    T, w = grid.T, nodes[~direct]
-    smooth = (pv_integral_many(model, grid.x, quad_cfg, grid)
-              - grid.g2 * np.log(grid.x / (T - grid.x)))
-    pv[~direct] = grid.interpolate(smooth, w) + spectral_weight(model, w) * np.log(w / (T - w))
-    return pv
 
 
 def node_sum(times, rates, values) -> np.ndarray:
@@ -281,9 +260,9 @@ def build_spectral_table(model: ModelParams, quad_cfg: QuadConfig) -> SpectralTa
         return SpectralTable(nodes=np.array([model.omega_bare]), weights=one,
                              centres=np.array([model.omega_bare]), halfwidths=np.zeros(1),
                              moments=one[:, None])
-    grid = master_grid(model, quad_cfg)
-    T = grid.T
-    prof = axis_profile(model, quad_cfg, grid)
+    rule = CauchyRule(model)
+    T = quad_cfg.truncation(model)
+    prof = axis_profile(model, quad_cfg, rule)
     om0, halfw = prof.omega0, prof.halfwidth
     coarse = model.cutoff / 2.5
     inner = halfw < _INNER_CUT
@@ -300,7 +279,7 @@ def build_spectral_table(model: ModelParams, quad_cfg: QuadConfig) -> SpectralTa
     lam2 = model.lam**2
 
     def outer_weights(nodes, wq):
-        pv = table_pv(model, quad_cfg, grid, nodes)
+        pv = pv_integral_many(model, nodes, rule)
         g2 = spectral_weight(model, nodes)
         x_re = nodes - model.omega_bare - lam2 * pv
         dens = lam2 * g2 / (x_re**2 + (math.pi * lam2 * g2) ** 2)
@@ -386,8 +365,8 @@ def _ray_truncation(model: ModelParams, theta: float) -> float:
     return max(S, 3.0 * cut)
 
 
-def build_ray_table(model: ModelParams, z0: complex, quad_cfg: QuadConfig,
-                    t_max: float, theta: float = DEFAULT_RAY_ANGLE) -> RayTable:
+def build_ray_table(model: ModelParams, z0: complex, t_max: float,
+                    theta: float = DEFAULT_RAY_ANGLE) -> RayTable:
     """Build the rotated-ray table for the non-pole part of the amplitude.
 
     The angle is used as given.  It must lie in (0, pi/4), where the
@@ -427,11 +406,10 @@ def build_ray_table(model: ModelParams, z0: complex, quad_cfg: QuadConfig,
         raise QuadratureFailure(
             f"ray table needs {s_nodes.size} nodes, above the cap {_RAY_MAX_NODES}"
         )
-    grid = master_grid(model, quad_cfg)
     phase = complex(math.cos(theta), -math.sin(theta))
     z = s_nodes * phase
     lam2 = model.lam**2
-    alpha_one = z - model.omega_bare - lam2 * grid.resolvent_integral(model, z)
+    alpha_one = z - model.omega_bare - lam2 * CauchyRule(model).resolvent_on_ray(s_nodes, theta)
     g2z = spectral_weight_analytic(model, z)
     alpha_two = alpha_one + 2j * math.pi * lam2 * g2z
     values = wq * lam2 * g2z / (alpha_one * alpha_two) * phase

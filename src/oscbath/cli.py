@@ -94,9 +94,6 @@ _SCHEMA = {
     "exponent": (_FINITE, 1.0),
     "cutoff": (_FINITE, _REQUIRED),
     "prefactor": (_FINITE, 1.0),
-    "abs_tol": (_FINITE, 1e-12),
-    "rel_tol": (_FINITE, 1e-10),
-    "max_subdivisions": (_INT, 200),
     "truncation_multiple": (_FINITE, 8.0),
     "newton_tol": (_POSITIVE, 1e-12),
     "newton_max_iter": (_INT, 50),
@@ -144,12 +141,7 @@ class RunConfig:
     @property
     def quad(self) -> QuadConfig:
         try:
-            return QuadConfig(
-                abs_tol=self["abs_tol"],
-                rel_tol=self["rel_tol"],
-                max_subdivisions=self["max_subdivisions"],
-                upper_truncation_multiple=self["truncation_multiple"],
-            )
+            return QuadConfig(upper_truncation_multiple=self["truncation_multiple"])
         except ValueError as exc:
             raise ConfigError(f"invalid quadrature settings: {exc}") from exc
 

@@ -41,24 +41,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances and truncation for the improper frequency integrals.
+    """Truncation of the real frequency axis.
 
-    Integrals over [0, inf) are truncated at
-    ``upper_truncation_multiple * cutoff``; the Gaussian factor makes the
-    discarded tail negligible for any multiple >= 4.  The multiple is capped
-    at 64, where exp(-m^2) is below 1e-1700; a larger one only adds panels.
+    The spectral table and the oracle's default band cover
+    [0, ``upper_truncation_multiple * cutoff``]; the Gaussian factor makes
+    the discarded tail negligible for any multiple >= 4.  The multiple is
+    capped at 64, where exp(-m^2) is below 1e-1700; a larger one only adds
+    panels.  The resolvent integrals are not truncated: their Cauchy rule
+    runs to its own Gaussian tail.
     """
 
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
     upper_truncation_multiple: float = 8.0
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
         if not 4 <= self.upper_truncation_multiple <= 64:
             raise ValueError(f"upper_truncation_multiple must lie in [4, 64], "
                              f"got {self.upper_truncation_multiple!r}")

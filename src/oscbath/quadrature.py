@@ -4,10 +4,10 @@ Three layers:
 
 * composite Gauss-Legendre panels over explicit boundary lists (the fixed
   tables used for vectorized evaluation),
-* a vectorized Cauchy principal-value integral by singularity subtraction,
-  and panel-by-panel barycentric interpolation of values sampled at the
-  master grid's nodes (so a principal value computed once per master node
-  serves any number of points),
+* one Cauchy rule per model, a fixed Gauss rule on a ray above the cut that
+  gives every resolvent integral the package needs -- alpha and its
+  derivative anywhere off the positive axis or on it from below, and the
+  principal value on the axis -- as a node sum,
 * a vectorized adaptive panel integrator for single-point complex
   integrals, raising :class:`QuadratureFailure` when the error estimate
   misses the target,
@@ -19,30 +19,38 @@ crossover time.
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NoConvergence, QuadratureFailure
-from .model import ModelParams, QuadConfig, spectral_weight, spectral_weight_jet
+from .model import ModelParams, spectral_weight_analytic
 
 __all__ = [
     "gauss_panels",
     "graded_boundaries",
-    "MasterGrid",
-    "master_grid",
+    "CauchyRule",
     "pv_integral_many",
     "adaptive_complex_quad",
 ]
 
-_MASTER_NODES_PER_PANEL = 16
 _MAX_PANELS = 200_000  # panel budget of graded_boundaries
-# Elements per temporary of the blocked principal-value sums and interpolation
-# (2 MB of float64).  Larger blocks made table builds no faster, and freed
-# temporaries of tens of MB can stay resident in the heap through a later
-# large allocation.
+# Elements per temporary of the blocked node sums (2 MB of float64).  Larger
+# blocks made table builds no faster, and freed temporaries of tens of MB can
+# stay resident in the heap through a later large allocation.
 _BLOCK = 262_144
+# The Cauchy rule: 16-node panels on s e^{i pi/8}, the first one [0, 1e-12 * cutoff],
+# then widths growing by 1.5 up to cutoff/4, until prefactor s^n |e^{-zeta^2/cutoff^2}|
+# falls below 1e-18.  Points about 1e3 first-panel widths from 0 get full accuracy.
+_RULE_ANGLE = math.pi / 8.0
+_RULE_NODES = 16
+_RULE_START = 1e-12
+_RULE_GROWTH = 1.5
+_RULE_CAP = 0.25
+_RULE_TAIL = 1e-18
+_RULE_BLOCK = 131_072  # elements of the rule's block buffer (1 MB); 2 MB ran slower
 _BRENT_RTOL = 4 * np.finfo(float).eps  # SciPy's default rtol for brentq, the smallest it accepts
 _BRENT_MAXITER = 100
 
@@ -84,131 +92,107 @@ def graded_boundaries(lo: float, hi: float, width_fn):
     raise QuadratureFailure("panel budget exhausted while grading the integration range")
 
 
-class MasterGrid:
-    """Fixed composite-Gauss grid on [0, T] carrying g2 samples.
+class CauchyRule:
+    """Fixed Gauss rule for the resolvent integrals on the ray above the cut.
 
-    Geometric refinement toward 0 keeps near-axis complex evaluation points
-    resolvable and handles the w**n cusp of fractional exponents.  The panel
-    boundaries are kept in ``bounds``; panel k holds the 16 nodes
-    ``x[16k:16k+16]``.
+    The nodes lie on zeta = s * exp(i*pi/8), s >= 0, and carry
+    g2(zeta) * (Gauss weight) * exp(i*pi/8).  For Im z <= 0, with the real
+    axis taken from below, turning [0, inf) up onto this ray crosses no
+    singularity of g2(x)/(z - x)^p, and the Gaussian factor of g2 still
+    decays on the ray, so the node sum is the physical-sheet integral
+
+        R_p(z) = int_0^inf g2(x) / (z - x)^p dx.
+
+    Every such z lies at least |z| sin(pi/8) from every node, and the panels
+    are graded geometrically into the s^n endpoint (Babuska & Guo, SIAM J.
+    Numer. Anal. 25 (1988) 837), which keeps the rule accurate to rounding
+    for |z| down to about 1e-9 * cutoff.  Points with Im z > 0 take the
+    reflection R_p(z) = conj R_p(conj z).  On the axis R_1(w) is
+    PV + i*pi*g2(w), so the principal value is its real part.
     """
 
-    def __init__(self, model: ModelParams, T: float):
+    def __init__(self, model: ModelParams):
+        cut = model.cutoff
+        decay = math.cos(2.0 * _RULE_ANGLE) / cut**2
         b = [0.0]
-        x = 1e-6 * model.cutoff
-        coarse = model.cutoff / 2.5
-        while x < coarse:
-            b.append(x)
-            x *= 1.35
-        while x < T:
-            b.append(x)
-            x += coarse
-        b.append(T)
-        self.T = T
-        self.bounds = np.array(b)
-        self.x, self.w = gauss_panels(self.bounds, _MASTER_NODES_PER_PANEL)
-        self.g2 = spectral_weight(model, self.x)
+        s = _RULE_START * cut
+        while s < cut or (model.prefactor * s**model.exponent
+                          * math.exp(-decay * s * s) >= _RULE_TAIL):
+            b.append(s)
+            s = min(_RULE_GROWTH * s, s + _RULE_CAP * cut)
+        b.append(s)
+        x, w = gauss_panels(np.array(b), _RULE_NODES)
+        # on the first panel [0, h], s = h u^q with q = 1/(n+1) makes s^n ds smooth in u
+        u, q = x[:_RULE_NODES] / b[1], 1.0 / (model.exponent + 1.0)
+        x[:_RULE_NODES] = b[1] * u**q
+        w[:_RULE_NODES] *= q * u ** (q - 1.0)
+        phase = cmath.exp(1j * _RULE_ANGLE)
+        self.nodes = x * phase
+        self.weights = spectral_weight_analytic(model, self.nodes) * w * phase
 
-    def resolvent_integral(self, model: ModelParams, z):
-        """int_0^T g2(x)/(z - x) dx at each point of a 1-d array z off [0, T].
+    def resolvent(self, z: complex, power: int = 1) -> complex:
+        """R_power(z) at one point; Im z = 0 is the limit from below."""
+        z = complex(z)
+        upper = z.imag > 0.0
+        zz = z.conjugate() if upper else z
+        value = complex(np.sum(self.weights / (zz - self.nodes) ** power))
+        return value.conjugate() if upper else value
 
-        Accurate while the distance of each z from the real axis is not much
-        smaller than the local panel width (the grid refines to ~1e-6*cutoff
-        near the origin).
+    def resolvent_on_ray(self, s, theta: float = 0.0) -> np.ndarray:
+        """R_1(s e^{-i theta}) at a 1-d array of s >= 0, for 0 <= theta < pi.
+
+        Turning the nodes by e^{i theta} makes the points real:
+        R_1 = e^{i theta} sum_k c_k / (s - zeta'_k), and each term is
+        c (s - conj zeta') r with r = 1/|s - zeta'|^2.  A block of points
+        takes |s - zeta'|^2 = s^2 - 2 s Re zeta' + |zeta'|^2 as one matrix
+        product, which loses at most a few ulps since |s - zeta'| >=
+        sin(pi/8) max(s, |zeta'|), then r, then the sums of c r and
+        c conj(zeta') r as a second product.  The blocks hold
+        ``_RULE_BLOCK`` elements.
         """
-        zz = np.asarray(z, dtype=complex)
-        out = np.empty(zz.shape, dtype=complex)
-        chunk = max(1, _BLOCK // self.x.size)
-        gw = self.g2 * self.w
-        # 1/(z - x) = (d - ib)/(d^2 + b^2) with d = Re z - x, b = Im z: two real sums
-        for i in range(0, zz.size, chunk):
-            zc = zz[i:i + chunk]
-            d = zc.real[:, None] - self.x
-            r = d * d
-            r += (zc.imag**2)[:, None]
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        turn = cmath.exp(1j * theta)
+        nodes = self.nodes * turn
+        square = np.stack([np.ones(nodes.size), -2.0 * nodes.real, np.abs(nodes) ** 2])
+        powers = np.column_stack([s * s, s, np.ones(s.size)])
+        moments = np.column_stack([self.weights, self.weights * nodes.conj()])
+        moments = moments.view(float).reshape(nodes.size, 4)
+        sums = np.empty((s.size, 4))
+        chunk = max(1, _RULE_BLOCK // nodes.size)
+        buf = np.empty((min(chunk, s.size), nodes.size))
+        for i in range(0, s.size, chunk):
+            m = slice(i, i + chunk)
+            r = buf[:s[m].size]
+            np.matmul(powers[m], square, out=r)
             np.reciprocal(r, out=r)
-            out.imag[i:i + chunk] = -zc.imag * (r @ gw)
-            d *= r
-            out.real[i:i + chunk] = d @ gw
-        return out
-
-    def interpolate(self, values, omegas):
-        """Values given at the grid nodes, interpolated to a 1-d array of points of [0, T].
-
-        Each point takes the degree-15 polynomial through the 16 values of
-        the panel that contains it, in the barycentric form of Berrut &
-        Trefethen, SIAM Rev. 46 (2004) 501; a point on a node takes that
-        node's value.  Accurate where the sampled function is analytic in a
-        neighbourhood of the panel.
-        """
-        om = np.asarray(omegas, dtype=float)
-        nodes = self.x.reshape(-1, _MASTER_NODES_PER_PANEL)
-        vals = values.reshape(nodes.shape)
-        x, w = _leggauss(_MASTER_NODES_PER_PANEL)
-        lam = (-1.0) ** np.arange(x.size) * np.sqrt((1.0 - x * x) * w)  # barycentric weights
-        panel = np.clip(np.searchsorted(self.bounds, om, side="right") - 1,
-                        0, nodes.shape[0] - 1)
-        out = np.empty(om.shape)
-        chunk = _BLOCK // _MASTER_NODES_PER_PANEL
-        for i in range(0, om.size, chunk):
-            p = panel[i:i + chunk]
-            diff = om[i:i + chunk, None] - nodes[p]
-            hit = diff == 0.0
-            c = lam / np.where(hit, 1.0, diff)
-            block = np.sum(c * vals[p], axis=1) / np.sum(c, axis=1)
-            row, col = np.nonzero(hit)
-            block[row] = vals[p[row], col]
-            out[i:i + chunk] = block
-        return out
+            sums[m] = r @ moments
+        sums = sums.view(complex)
+        return turn * (s * sums[:, 0] - sums[:, 1])
 
 
-def master_grid(model: ModelParams, quad_cfg: QuadConfig) -> MasterGrid:
-    return MasterGrid(model, quad_cfg.truncation(model))
+def pv_integral_many(model: ModelParams, omegas, rule: CauchyRule | None = None):
+    """PV int_0^inf g2(x)/(omega - x) dx at real omegas > 0, vectorized.
 
-
-def pv_integral_many(model: ModelParams, omegas, quad_cfg: QuadConfig,
-                     grid: MasterGrid | None = None):
-    """PV int_0^T g2(x)/(omega - x) dx for interior omegas, vectorized.
-
-    Singularity subtraction: the smooth quotient (g2(x) - g2(w))/(w - x) is
-    integrated on the master grid and the extracted logarithm
-    g2(w) * ln(w / (T - w)) is added back.  Nodes closer to w than a small
-    threshold switch to the closed-form Taylor form of the quotient to avoid 0/0.
+    The real part of the Cauchy rule's R_1 on the axis; ``rule`` is the
+    model's rule when the caller has one.
     """
-    if grid is None:
-        grid = master_grid(model, quad_cfg)
-    om = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if np.any(om <= 0) or np.any(om >= grid.T):
-        raise ValueError("principal-value point must lie strictly inside (0, T)")
-    out = np.empty(om.shape)
-    g2om, d1, d2 = spectral_weight_jet(model, om)
-    delta = 1e-6 * np.maximum(1.0, om)
-    chunk = max(1, _BLOCK // grid.x.size)
-    for i in range(0, om.size, chunk):
-        diff = om[i:i + chunk, None] - grid.x
-        row, col = np.nonzero(np.abs(diff) < delta[i:i + chunk, None])
-        offset = diff[row, col]
-        diff[row, col] = 1.0
-        quot = grid.g2 - g2om[i:i + chunk, None]
-        quot /= diff
-        quot[row, col] = -(d1[i + row] + 0.5 * d2[i + row] * (-offset))
-        out[i:i + chunk] = quot @ grid.w
-    out += g2om * np.log(om / (grid.T - om))
+    rule = rule or CauchyRule(model)
+    out = rule.resolvent_on_ray(omegas).real
     if np.isscalar(omegas) or np.ndim(omegas) == 0:
         return float(out[0])
     return out
 
 
-def adaptive_complex_quad(f, a: float, b: float, quad_cfg: QuadConfig,
-                          points=None, abs_tol: float | None = None) -> complex:
+def adaptive_complex_quad(f, a: float, b: float, points=None, abs_tol: float = 1e-12,
+                          rel_tol: float = 1e-10, max_subdivisions: int = 200) -> complex:
     """Adaptive integral of a complex integrand on [a, b] by bisecting Gauss panels.
 
     ``f`` takes a 1-d float array; interior ``points`` become breakpoints.  A
     panel's value is the 15-point Gauss sum over its halves, its error the
-    distance to the whole-panel rule.  Raises :class:`QuadratureFailure` when
-    the error misses the target max(abs_tol, rel_tol*|I|) by a wide factor.
+    distance to the whole-panel rule.  At most ``max_subdivisions`` panels
+    are used.  Raises :class:`QuadratureFailure` when the error misses the
+    target max(abs_tol, rel_tol*|I|) by a wide factor.
     """
-    atol = quad_cfg.abs_tol if abs_tol is None else abs_tol
     x, w = _leggauss(15)
     cat = np.concatenate
 
@@ -223,13 +207,13 @@ def adaptive_complex_quad(f, a: float, b: float, quad_cfg: QuadConfig,
     whole, left, right = gauss(cat([lo, lo, (lo + hi) / 2]), cat([hi, (lo + hi) / 2, hi]), 3)
     while True:
         err = np.abs(whole - left - right)
-        target = max(atol, quad_cfg.rel_tol * abs(np.sum(left + right)))
+        target = max(abs_tol, rel_tol * abs(np.sum(left + right)))
         # Refine to target/100: beside an endpoint singularity such as w**n the halves
         # beat the whole-panel error only by 2**(1+n).  A non-finite error stops, then fails.
-        if not err.sum() > target / 100.0 or lo.size >= quad_cfg.max_subdivisions:
+        if not err.sum() > target / 100.0 or lo.size >= max_subdivisions:
             break
         # one integrand call bisects every panel within a factor 4 of the worst
-        count = min(np.count_nonzero(4.0 * err >= err.max()), quad_cfg.max_subdivisions - lo.size)
+        count = min(np.count_nonzero(4.0 * err >= err.max()), max_subdivisions - lo.size)
         split = np.argsort(err)[::-1][:count]
         g = np.linspace(lo[split], hi[split], 5)  # rows: lo, quarter, mid, three quarters, hi
         quarters = gauss(g[:-1].ravel(), g[1:].ravel(), 4)

@@ -18,6 +18,10 @@ whose boundary value from below equals alpha_plus(w); the sign is fixed by
 that continuity requirement (and by the second-order pole estimate, which
 must land in the lower half-plane).  The resonance is the zero z0 of
 alpha_II with Im z0 < 0.
+
+Every resolvent integral here, and alpha_II' = 1 + lam^2 int g2/(z - w)^2 dw
++ 2 pi i lam^2 g2'(z), comes from one :class:`~oscbath.quadrature.CauchyRule`
+per model, a fixed Gauss rule on a ray above the cut.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from .model import (
     spectral_weight_analytic,
     spectral_weight_jet,
 )
-from .quadrature import adaptive_complex_quad, pv_integral_many
+from .quadrature import adaptive_complex_quad  # noqa: F401 -- a name bench/tracing.py wraps
+from .quadrature import CauchyRule, pv_integral_many
 
 __all__ = [
     "Sheet",
@@ -91,57 +96,14 @@ class Resonance:
         return -2.0 * self.z0.imag
 
 
-def _resolvent(model: ModelParams, z: complex, quad_cfg: QuadConfig,
-               abs_tol: float | None, power: int) -> complex:
-    """int_0^T g2(w)/(z - w)**power dw for power 1 or 2 by adaptive quadrature.
-
-    When Re z lies inside the integration range, g2(c) + g2'(c)(w - c) at
-    c = Re z is subtracted and integrated back in closed form, so the
-    integrand stays bounded however close z comes to the cut.  Im z = 0 is
-    the boundary value from below.
-    """
-    T = quad_cfg.truncation(model)
-    c = z.real
-    if not 0.0 < c < T:
-        return adaptive_complex_quad(
-            lambda w: spectral_weight(model, w) / (z - w) ** power, 0.0, T, quad_cfg,
-            abs_tol=abs_tol,
-        )
-    b = abs(z.imag)
-    g2c, g2p, g2pp = spectral_weight_jet(model, c)
-    near = 1e-5 * min(c, T - c)
-
-    def smooth(w):
-        u = w - c
-        num = spectral_weight(model, w) - g2c - g2p * u
-        if power == 2:
-            # within |w - c| << c the numerator is rounding noise that 1/(z - w)^2
-            # would magnify; its leading Taylor term is exact to O(u^4) there
-            num = np.where(np.abs(u) < near, 0.5 * g2pp * u * u, num)
-        return num / (z - w) ** power
-
-    pts = sorted({min(max(p, T * 1e-12), T * (1 - 1e-12))
-                  for p in (c - 10 * b, c, c + 10 * b)})
-    integral = adaptive_complex_quad(smooth, 0.0, T, quad_cfg, points=pts, abs_tol=abs_tol)
-    # int_0^T dw/(z - w) = ln z - ln(z - T); on the cut, the branch from below
-    if b == 0.0:
-        log_term = complex(math.log(c / (T - c)), math.pi)
-    else:
-        log_term = np.log(complex(z)) - np.log(complex(z - T))
-    if power == 1:
-        return integral + g2c * log_term + g2p * (1j * z.imag * log_term - T)
-    inv_term = 1.0 / (z - T) - 1.0 / z
-    return integral + g2c * inv_term + g2p * (1j * z.imag * inv_term - log_term)
-
-
-def _alpha(model: ModelParams, z: complex, sheet: Sheet, quad_cfg: QuadConfig,
-           abs_tol: float | None = None, derivative: bool = False) -> complex:
+def _alpha(model: ModelParams, rule: CauchyRule, z: complex, sheet: Sheet,
+           derivative: bool = False) -> complex:
     """alpha (or d alpha/dz) on ``sheet``; Im z = 0 is the limit from below."""
     lam2 = model.lam**2
     if derivative:
-        value = 1.0 + lam2 * _resolvent(model, z, quad_cfg, abs_tol, 2)
+        value = 1.0 + lam2 * rule.resolvent(z, 2)
     else:
-        value = z - model.omega_bare - lam2 * _resolvent(model, z, quad_cfg, abs_tol, 1)
+        value = z - model.omega_bare - lam2 * rule.resolvent(z, 1)
     if sheet is Sheet.SECOND_II:
         if derivative:
             residue = spectral_weight_jet(model, z)[1]
@@ -151,31 +113,34 @@ def _alpha(model: ModelParams, z: complex, sheet: Sheet, quad_cfg: QuadConfig,
     return value
 
 
-def alpha(model: ModelParams, point: SheetPoint, quad_cfg: QuadConfig | None = None,
-          abs_tol: float | None = None) -> complex:
-    """Evaluate alpha on the requested sheet at a point off the cut."""
-    quad_cfg = quad_cfg or QuadConfig()
+def alpha(model: ModelParams, point: SheetPoint, quad_cfg: QuadConfig | None = None) -> complex:
+    """Evaluate alpha on the requested sheet at a point off the cut.
+
+    ``quad_cfg`` is accepted for callers that pass one; the Cauchy rule has
+    no settings.
+    """
     z = complex(point.z)
     if z.imag == 0.0 and z.real >= 0.0:
         raise OnCut("alpha is discontinuous on [0, inf); use alpha_boundary")
-    return _alpha(model, z, point.sheet, quad_cfg, abs_tol)
+    return _alpha(model, CauchyRule(model), z, point.sheet)
 
 
 def alpha_boundary(model: ModelParams, omega: float, side: Side = Side.PLUS,
                    quad_cfg: QuadConfig | None = None) -> complex:
-    """Boundary value alpha_pm(omega) on the cut, 0 < omega < truncation."""
-    quad_cfg = quad_cfg or QuadConfig()
-    pv = pv_integral_many(model, float(omega), quad_cfg)
+    """Boundary value alpha_pm(omega) on the cut, omega > 0."""
+    pv = pv_integral_many(model, float(omega))
     real = omega - model.omega_bare - model.lam**2 * pv
     imag = math.pi * model.lam**2 * spectral_weight(model, float(omega))
     return complex(real, imag if side is Side.PLUS else -imag)
 
 
-def perturbative_resonance(model: ModelParams, quad_cfg: QuadConfig | None = None) -> complex:
+def perturbative_resonance(model: ModelParams, quad_cfg: QuadConfig | None = None,
+                           rule: CauchyRule | None = None) -> complex:
     """Second-order pole estimate: omega_bare + shift - i * golden-rule rate / 2.
 
     The real shift is lam^2 PV int g2/(omega_bare - w) dw and the width is
-    gamma = 2 pi lam^2 g2(omega_bare).
+    gamma = 2 pi lam^2 g2(omega_bare).  An oscillator frequency at or above
+    the truncation of ``quad_cfg`` raises :class:`QuadratureFailure`.
     """
     quad_cfg = quad_cfg or QuadConfig()
     if model.lam == 0.0:
@@ -183,7 +148,7 @@ def perturbative_resonance(model: ModelParams, quad_cfg: QuadConfig | None = Non
     if not model.omega_bare < quad_cfg.truncation(model):
         raise QuadratureFailure("could not bracket the resonance position on the real axis; "
                                 "the oscillator frequency may exceed the truncated bath range")
-    shift = model.lam**2 * pv_integral_many(model, model.omega_bare, quad_cfg)
+    shift = model.lam**2 * pv_integral_many(model, model.omega_bare, rule)
     half_width = math.pi * model.lam**2 * spectral_weight(model, model.omega_bare)
     return complex(model.omega_bare + shift, -half_width)
 
@@ -227,11 +192,11 @@ def find_resonance(model: ModelParams, quad_cfg: QuadConfig | None = None,
     quad_cfg = quad_cfg or QuadConfig()
     if model.lam <= 0.0:
         raise NoConvergence("find_resonance requires a nonzero coupling")
-    inner_tol = min(quad_cfg.abs_tol, tol / 20.0)
-    seed = perturbative_resonance(model, quad_cfg)
+    rule = CauchyRule(model)
+    seed = perturbative_resonance(model, quad_cfg, rule)
 
     def f(z: complex) -> complex:
-        return _alpha(model, z, Sheet.SECOND_II, quad_cfg, inner_tol)
+        return _alpha(model, rule, z, Sheet.SECOND_II)
 
     z = seed
     newton_res = math.inf
@@ -242,7 +207,7 @@ def find_resonance(model: ModelParams, quad_cfg: QuadConfig | None = None,
         iterations = it
         if newton_res < tol:
             break
-        fpz = _alpha(model, z, Sheet.SECOND_II, quad_cfg, inner_tol, derivative=True)
+        fpz = _alpha(model, rule, z, Sheet.SECOND_II, derivative=True)
         step = fz / fpz
         if not np.isfinite(step):
             break
@@ -270,7 +235,7 @@ def find_resonance(model: ModelParams, quad_cfg: QuadConfig | None = None,
         raise PoleInUpperHalfPlane(
             f"continued resolvent zero at {z} is not a decaying resonance"
         )
-    prime = _alpha(model, z, Sheet.SECOND_II, quad_cfg, inner_tol, derivative=True)
+    prime = _alpha(model, rule, z, Sheet.SECOND_II, derivative=True)
     return Resonance(
         z0=complex(z),
         alpha_prime_at_pole=complex(prime),

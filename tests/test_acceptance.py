@@ -15,7 +15,7 @@ import pytest
 import oscbath as ob
 from conftest import state_sampler
 from oracles import energy_drift, grid_refine_resonance
-from oscbath.selfenergy import _resolvent
+from oscbath.quadrature import CauchyRule
 
 
 def _ok(criterion, detail):
@@ -86,8 +86,9 @@ def test_criterion_02_gap_coefficient(quad):
     coefficient that the 5*lam^4 bound above misses.
     """
     m1 = ob.build_model(1.0, 0.1, 1.0, 5.0, 1.0)
-    sigma = _resolvent(m1, 1.0 + 0.0j, quad, None, power=1)
-    sigma_prime = -_resolvent(m1, 1.0 + 0.0j, quad, None, power=2)
+    rule = CauchyRule(m1)
+    sigma = rule.resolvent(1.0 + 0.0j, 1)
+    sigma_prime = -rule.resolvent(1.0 + 0.0j, 2)
     coeff = abs(sigma * sigma_prime)
     assert coeff == pytest.approx(17.3217, abs=1e-4)
     ratios = []

@@ -90,6 +90,13 @@ def test_unknown_key_exit_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert ":4:" in err["message"]
+    # the adaptive-quadrature panel budget is no config key: the Cauchy rule has none
+    p.write_text("omega = 1\nlambda = 0.1\ncutoff = 5\n")
+    assert run(["pole", "--config", p, "--out", tmp_path / "out",
+                "--override", "max_subdivisions=1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "'max_subdivisions'" in err["message"]
 
 
 def test_missing_required_key_exit_2(tmp_path, capsys):
@@ -145,10 +152,10 @@ def test_solver_failure_exit_3(cfg_path, tmp_path, capsys):
 
 def test_numerical_failure_exit_1(cfg_path, tmp_path, capsys):
     # any other OscBathError exits 1; stderr names its class
-    code = run(["pole", "--config", cfg_path, "--out", tmp_path / "out",
-                "--override", "max_subdivisions=1"])
+    code = run(["survival", "--config", cfg_path, "--out", tmp_path / "out",
+                "--override", "ray_theta=0.02"])
     assert code == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "QuadratureFailure"
+    assert json.loads(capsys.readouterr().err)["error"] == "PoleOnRay"
 
 
 @pytest.mark.parametrize("command, overrides, error", [
@@ -432,10 +439,11 @@ def test_override_validation(cfg_path, tmp_path, capsys, command, override):
     assert override.partition("=")[0] in err["message"]
 
 
-@pytest.mark.parametrize("key", sorted(cli._SCHEMA))
+@pytest.mark.parametrize("key", sorted(cli._SCHEMA) + ["abs_tol", "max_subdivisions", "rel_tol"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_schema_rejects_nonfinite(key, value):
-    # every key checks its own domain as the config is read
+    # every key checks its own domain as the config is read; the retired
+    # adaptive-quadrature keys are refused by name
     raw = cli.parse_config_file(CONFIGS / "reference.cfg")
     with pytest.raises(ConfigError, match=key):
         cli.build_runconfig(raw, [f"{key}={value}"])

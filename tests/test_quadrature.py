@@ -1,5 +1,5 @@
-"""Adaptive panel quadrature, principal values, master-grid interpolation
-and the Brent root finder against QUADPACK, mpmath and SciPy references."""
+"""The Cauchy rule, adaptive panel quadrature and the Brent root finder
+against QUADPACK, mpmath and SciPy references."""
 
 import math
 from functools import lru_cache, partial
@@ -12,10 +12,10 @@ from scipy.optimize import brentq as scipy_brentq
 
 import oscbath as ob
 import oscbath.quadrature as quadrature
-from oscbath._tables import build_spectral_table, spherical_jn, table_pv
+from oscbath._tables import axis_profile, build_spectral_table, spherical_jn
 from oscbath.errors import NoConvergence, QuadratureFailure
-from oscbath.quadrature import _brentq, adaptive_complex_quad, master_grid, pv_integral_many
-from oscbath.selfenergy import _alpha, _resolvent
+from oscbath.quadrature import CauchyRule, _brentq, adaptive_complex_quad, pv_integral_many
+from oscbath.selfenergy import _alpha
 
 QUAD = ob.QuadConfig()
 M1 = ob.ModelParams(1.0, 0.1, 1.0, 5.0)
@@ -23,6 +23,9 @@ M1 = ob.ModelParams(1.0, 0.1, 1.0, 5.0)
 FRACTIONAL = ob.ModelParams(0.8203870617329918, 0.5512457297805049, 0.652113547996434,
                             2.172331457053775)
 MODELS = {"m1": M1, "fractional": FRACTIONAL}
+# the rule's resolvents carry rounding error only; the adaptive quadrature
+# they replace was held to 1e-10 relative
+RULE_RTOL = 1e-12
 
 
 def quadpack_complex(f, a, b, points=None):
@@ -33,34 +36,55 @@ def quadpack_complex(f, a, b, points=None):
     return complex(re, im)
 
 
+def mp_g2_fn(model):
+    n, cutoff = mp.mpf(model.exponent), mp.mpf(model.cutoff)
+    return lambda w: model.prefactor * w**n * mp.exp(-((w / cutoff) ** 2))
+
+
+@lru_cache(maxsize=None)
+def mp_resolvents(model, z: complex, top: int = 2):
+    """int_0^inf g2(w)/(z - w)^k dw for k = 1..top at 30 digits, z off the cut."""
+    T = QUAD.truncation(model)
+    zz = mp.mpc(z.real, z.imag)
+    b = abs(z.imag)
+    cuts = sorted({p for p in (z.real - 10 * b, z.real - b, z.real, z.real + b, z.real + 10 * b,
+                               abs(z), 10 * abs(z))
+                   if 0.0 < p < T})
+    with mp.workdps(30):
+        g2 = mp_g2_fn(model)
+        return tuple(complex(mp.quad(lambda w: g2(w) / (zz - w) ** k, [0, *cuts, T, mp.inf]))
+                     for k in range(1, top + 1))
+
+
 @lru_cache(maxsize=None)
 def mp_moments(name: str, z: complex):
-    """int_0^T g2(w)/(z - w)^k dw for k = 1, 2 at 30 digits.
+    """int_0^inf g2(w)/(z - w)^k dw for k = 1, 2 at 30 digits.
 
     On the cut (Im z = 0) the limit from below: PV(c) + i pi g2(c) and its
     negated derivative -PV'(c) - i pi g2'(c).
     """
     model = MODELS[name]
-    T = QUAD.truncation(model)
-    n, cutoff, zz = mp.mpf(model.exponent), mp.mpf(model.cutoff), mp.mpc(z.real, z.imag)
-    b = abs(z.imag)
-    cuts = sorted({p for p in (z.real - 10 * b, z.real - b, z.real, z.real + b, z.real + 10 * b)
-                   if 0.0 < p < T})
+    if z.imag != 0.0:
+        return mp_resolvents(model, z)
     with mp.workdps(30):
-        def g2(w):
-            return model.prefactor * w**n * mp.exp(-((w / cutoff) ** 2))
+        g2 = mp_g2_fn(model)
+        c = mp.mpf(z.real)
+        return (complex(mp_pv_value(model, c) + 1j * mp.pi * g2(c)),
+                complex(-mp.diff(lambda x: mp_pv_value(model, x), c) - 1j * mp.pi * mp.diff(g2, c)))
 
-        if b == 0.0:
-            def pv(x):
-                # subtracted form: the quotient is smooth through w = x
-                return (mp.quad(lambda w: (g2(w) - g2(x)) / (x - w), [0, x, T])
-                        + g2(x) * mp.log(x / (T - x)))
 
-            c = zz.real
-            return (complex(pv(c) + 1j * mp.pi * g2(c)),
-                    complex(-mp.diff(pv, c) - 1j * mp.pi * mp.diff(g2, c)))
-        return tuple(complex(mp.quad(lambda w: g2(w) / (zz - w) ** k, [0, *cuts, T]))
-                     for k in (1, 2))
+def mp_pv_value(model, x):
+    """PV int_0^inf g2(w)/(x - w) dw at the working precision, in the subtracted form."""
+    T = QUAD.truncation(model)
+    g2 = mp_g2_fn(model)
+    return (mp.quad(lambda w: (g2(w) - g2(x)) / (x - w), [0, x, T])
+            + g2(x) * mp.log(x / (T - x)) + mp.quad(lambda w: g2(w) / (x - w), [T, mp.inf]))
+
+
+def mp_pv(model, x: float) -> float:
+    """PV int_0^inf g2(w)/(x - w) dw at 30 digits."""
+    with mp.workdps(30):
+        return float(mp_pv_value(model, mp.mpf(x)))
 
 
 def mp_g2(model, z: complex):
@@ -69,6 +93,13 @@ def mp_g2(model, z: complex):
     with mp.workdps(30):
         g = model.prefactor * mp.exp(n * mp.log(zz)) * mp.exp(-((zz / cutoff) ** 2))
         return complex(g), complex(g * (n / zz - 2 * zz / cutoff**2))
+
+
+def mp_alpha_second(model, z: complex) -> complex:
+    """alpha_II(z) at 30 digits."""
+    lam2 = model.lam**2
+    return (z - model.omega_bare - lam2 * mp_resolvents(model, z)[0]
+            + 2j * math.pi * lam2 * mp_g2(model, z)[0])
 
 
 def pole(name: str) -> complex:
@@ -89,53 +120,104 @@ def test_alpha_and_derivative_near_cut_match_mpmath(name, depth, sheet):
     lam2 = model.lam**2
     ref = z - model.omega_bare - lam2 * first
     ref_prime = 1.0 + lam2 * second
-    val_prime = _alpha(model, z, sheet, QUAD, QUAD.abs_tol, derivative=True)
+    val_prime = _alpha(model, CauchyRule(model), z, sheet, derivative=True)
     if sheet is ob.Sheet.SECOND_II:
         ref += 2j * math.pi * lam2 * g2
         ref_prime += 2j * math.pi * lam2 * g2_prime
     # the integrals' relative tolerance carried through lam^2
     assert abs(ob.alpha(model, ob.SheetPoint(z, sheet), QUAD) - ref) <= (
-        QUAD.rel_tol * lam2 * abs(first))
-    assert abs(val_prime - ref_prime) <= QUAD.rel_tol * lam2 * abs(second)
+        RULE_RTOL * lam2 * abs(first))
+    assert abs(val_prime - ref_prime) <= RULE_RTOL * lam2 * abs(second)
 
 
 @pytest.mark.parametrize("name", MODELS)
 @pytest.mark.parametrize("depth", [1e-3, 1e-8, 0.0])
 def test_resolvent_integrals_match_mpmath(name, depth):
-    # depth 0 is the cut itself, the boundary value from below; +0.0 is the
-    # signed zero on which a plain complex log takes the branch from above
-    model = MODELS[name]
+    # depth 0 is the cut itself, the boundary value from below, asked for with
+    # Im z = +0.0, the signed zero on which reflection must not act
+    rule = CauchyRule(MODELS[name])
     z = complex(pole(name).real, -depth if depth else 0.0)
     first, second = mp_moments(name, z)
-    assert _resolvent(model, z, QUAD, None, 1) == pytest.approx(first, rel=QUAD.rel_tol)
-    assert _resolvent(model, z, QUAD, QUAD.abs_tol, 2) == pytest.approx(second, rel=QUAD.rel_tol)
+    assert rule.resolvent(z, 1) == pytest.approx(first, rel=RULE_RTOL)
+    assert rule.resolvent(z, 2) == pytest.approx(second, rel=RULE_RTOL)
+    if z.imag == 0.0:
+        assert rule.resolvent_on_ray(z.real)[0] == pytest.approx(first, rel=RULE_RTOL)
 
 
 @pytest.mark.parametrize("name", MODELS)
 @pytest.mark.parametrize("side", ["below", "above"])
 def test_off_range_real_part_matches_quadpack(name, side):
-    # Re z < 0 and Re z > T take the unsubtracted integrands
+    # Re z < 0 and Re z beyond the truncation point, where the old adaptive
+    # quadrature took the unsubtracted integrands
     model = MODELS[name]
+    rule = CauchyRule(model)
     T = QUAD.truncation(model)
     z = complex(-0.05, -1e-3) if side == "below" else complex(T + 0.05, -1e-3)
-    got = (_resolvent(model, z, QUAD, None, 1), _resolvent(model, z, QUAD, QUAD.abs_tol, 2))
-    for k, value, exact in zip((1, 2), got, mp_moments(name, z)):
+    got = (rule.resolvent(z, 1), rule.resolvent(z, 2))
+    for k, value, exact in zip((1, 2), got, mp_resolvents(model, z)):
         ref = quadpack_complex(lambda w: ob.spectral_weight(model, w) / (z - w) ** k, 0.0, T)
         assert value == pytest.approx(ref, rel=1e-11)
-        assert value == pytest.approx(exact, rel=1e-11)
+        assert value == pytest.approx(exact, rel=RULE_RTOL)
 
 
 def test_fractional_pole_near_origin():
     z0 = pole("fractional")
     assert 0.0 < z0.real < 0.5
     first, second = mp_moments("fractional", z0)
-    assert _resolvent(FRACTIONAL, z0, QUAD, None, 1) == pytest.approx(first, rel=QUAD.rel_tol)
-    assert _resolvent(FRACTIONAL, z0, QUAD, QUAD.abs_tol, 2) == pytest.approx(
-        second, rel=QUAD.rel_tol)
-    g2, _ = mp_g2(FRACTIONAL, z0)
-    lam2 = FRACTIONAL.lam**2
-    true_alpha = z0 - FRACTIONAL.omega_bare - lam2 * first + 2j * math.pi * lam2 * g2
-    assert abs(true_alpha) <= QUAD.rel_tol * lam2 * abs(first)
+    rule = CauchyRule(FRACTIONAL)
+    assert rule.resolvent(z0, 1) == pytest.approx(first, rel=RULE_RTOL)
+    assert rule.resolvent(z0, 2) == pytest.approx(second, rel=RULE_RTOL)
+    assert abs(mp_alpha_second(FRACTIONAL, z0)) <= 1e-13
+
+
+def test_upper_half_plane_by_reflection():
+    # points above the cut, including ones between the cut and the rule's ray,
+    # take the reflection R(z) = conj R(conj z) of the physical-sheet integral
+    rule = CauchyRule(FRACTIONAL)
+    for z in (complex(1.3, 1e-6), complex(1.3, 0.2), complex(0.4, 2.0), complex(-0.7, 0.3)):
+        first = mp_resolvents(FRACTIONAL, z)[0]
+        assert rule.resolvent(z, 1) == pytest.approx(first, rel=RULE_RTOL)
+
+
+@pytest.mark.parametrize("s", np.geomspace(1e-7, 30.0, 9))
+def test_resolvent_on_the_background_ray_matches_mpmath(s):
+    # the ray table's alpha_I: R_1 at s e^{-i pi/5}, down to s = 1e-7, at n = 0.36
+    model = ob.ModelParams(1.0, 0.2, 0.36, 5.0)
+    z = s * complex(math.cos(math.pi / 5), -math.sin(math.pi / 5))
+    got = CauchyRule(model).resolvent_on_ray(s, math.pi / 5)[0]
+    assert got == pytest.approx(mp_resolvents(model, z, 1)[0], rel=RULE_RTOL)
+
+
+# six poles of the bench's pole_scan on seed 3, with arg z0 from -0.41 to -1.52,
+# the reference model and the strong-coupling model of decay_phases' survival02
+POLE_MODELS = {
+    "pole004": (1.1789419345435512, 0.3215124834108771, 0.36282551035205024, 7.034710430451965),
+    "pole005": (0.8241286071838806, 0.45710641621085235, 0.9026618045178143, 2.914100983486717),
+    "pole019": (0.6106188726363649, 0.3121394748859274, 0.6821027289431032, 6.507717336537754),
+    "pole039": (0.5683328486705523, 0.31203905702672935, 0.6028981292042097, 4.3648081703383514),
+    "pole080": (1.0346628978474732, 0.4762948830874378, 0.9829398617929007, 2.009044407466463),
+    "pole089": (0.811572061005079, 0.5387919628278132, 0.652728531033485, 2.1483660979081804),
+    "reference": (1.0, 0.1, 1.0, 5.0),
+    "survival02": (1.4274832499309253, 0.30110592191667285, 1.8917333424776708,
+                   2.3546682619403145),
+}
+
+
+@pytest.mark.parametrize("name", POLE_MODELS)
+def test_pole_residual_against_mpmath(name):
+    model = ob.ModelParams(*POLE_MODELS[name])
+    z0 = ob.find_resonance(model, QUAD).z0
+    assert abs(mp_alpha_second(model, z0)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", POLE_MODELS)
+def test_alpha_at_the_pole_agrees_with_the_search(name):
+    # the public evaluator and the search share the rule, so the pole the
+    # search returns passes the 1e-12 residual check made through ob.alpha
+    model = ob.ModelParams(*POLE_MODELS[name])
+    res = ob.find_resonance(model, QUAD)
+    assert res.residual < 1e-12
+    assert abs(ob.alpha(model, ob.SheetPoint(res.z0, ob.Sheet.SECOND_II), QUAD)) < 1e-12
 
 
 def test_breakpoints_resolve_a_kink():
@@ -145,14 +227,13 @@ def test_breakpoints_resolve_a_kink():
         return np.abs(w - p) + 0j
 
     exact = 0.5 * (p**2 + (1.0 - p) ** 2)
-    cfg = ob.QuadConfig(max_subdivisions=8)
-    assert adaptive_complex_quad(f, 0.0, 1.0, cfg, points=[p], abs_tol=1e-14) == pytest.approx(
-        exact, abs=1e-12)
+    kw = {"abs_tol": 1e-14, "max_subdivisions": 8}
+    assert adaptive_complex_quad(f, 0.0, 1.0, points=[p], **kw) == pytest.approx(exact, abs=1e-12)
     # points outside the open interval and repeated points are ignored
-    assert adaptive_complex_quad(f, 0.0, 1.0, cfg, points=np.array([-1.0, p, p, 1.0, 2.0]),
-                                 abs_tol=1e-14) == pytest.approx(exact, abs=1e-12)
+    assert adaptive_complex_quad(f, 0.0, 1.0, points=np.array([-1.0, p, p, 1.0, 2.0]),
+                                 **kw) == pytest.approx(exact, abs=1e-12)
     with pytest.raises(QuadratureFailure):
-        adaptive_complex_quad(f, 0.0, 1.0, cfg, abs_tol=1e-14)
+        adaptive_complex_quad(f, 0.0, 1.0, **kw)
 
 
 def test_integrand_is_called_on_arrays():
@@ -162,7 +243,7 @@ def test_integrand_is_called_on_arrays():
         sizes.append(np.shape(w))
         return np.exp(1j * w)
 
-    val = adaptive_complex_quad(f, 0.0, 3.0, QUAD)
+    val = adaptive_complex_quad(f, 0.0, 3.0)
     assert val == pytest.approx((np.exp(3j) - 1.0) / 1j, abs=1e-14)
     # one call per refinement round, each on a 1-d array of nodes
     assert sizes and all(len(s) == 1 and s[0] > 1 for s in sizes)
@@ -170,88 +251,71 @@ def test_integrand_is_called_on_arrays():
 
 def test_single_panel_budget_raises():
     z = complex(0.5, -1e-3)
-    cfg = ob.QuadConfig(max_subdivisions=1)
     with pytest.raises(QuadratureFailure):
-        adaptive_complex_quad(lambda w: 1.0 / (z - w), 0.0, 1.0, cfg, abs_tol=1e-14)
+        adaptive_complex_quad(lambda w: 1.0 / (z - w), 0.0, 1.0, abs_tol=1e-14,
+                              max_subdivisions=1)
     exact = complex(np.log(z) - np.log(z - 1.0))
-    assert adaptive_complex_quad(lambda w: 1.0 / (z - w), 0.0, 1.0, QUAD,
+    assert adaptive_complex_quad(lambda w: 1.0 / (z - w), 0.0, 1.0,
                                  points=[0.5], abs_tol=1e-14) == pytest.approx(exact, rel=1e-12)
 
 
 def test_non_finite_integrand_raises():
     with pytest.raises(QuadratureFailure):
-        adaptive_complex_quad(lambda w: np.where(w > 0.5, np.nan, 1.0) + 0j, 0.0, 1.0, QUAD)
+        adaptive_complex_quad(lambda w: np.where(w > 0.5, np.nan, 1.0) + 0j, 0.0, 1.0)
 
 
-# the reference model and three fractional exponents whose tables reach the w^n cusp
+# the reference model and four fractional exponents whose tables reach the w^n cusp
 PV_MODELS = {
     "m1": M1,
+    "n0.36": ob.ModelParams(1.0, 0.2, 0.36, 5.0),
     "n0.3628": ob.ModelParams(1.1789, 0.3215, 0.3628, 7.0347),
     "n0.25": ob.ModelParams(1.0, 0.2, 0.25, 5.0),
     "n0.2845": ob.ModelParams(0.3254, 0.2169, 0.2845, 5.919),
 }
 
 
-def mp_pv(model, x: float) -> float:
-    """PV int_0^T g2(w)/(x - w) dw at 30 digits, in the subtracted form."""
-    T = QUAD.truncation(model)
-    n, cutoff = mp.mpf(model.exponent), mp.mpf(model.cutoff)
-    with mp.workdps(30):
-        def g2(w):
-            return model.prefactor * w**n * mp.exp(-((w / cutoff) ** 2))
-
-        xx = mp.mpf(x)
-        return float(mp.quad(lambda w: (g2(w) - g2(xx)) / (xx - w), [0, xx, T])
-                     + g2(xx) * mp.log(xx / (T - xx)))
-
-
-@pytest.mark.parametrize("name", ["m1", "n0.3628"])
-@pytest.mark.parametrize("fraction", [1e-3, 0.07, 0.25, 0.6, 1.4])
+@pytest.mark.parametrize("name", ["m1", "n0.36", "n0.3628"])
+@pytest.mark.parametrize("fraction", [1e-6, 1e-3, 0.07, 0.25, 0.6, 1.4, 7.99])
 def test_pv_integral_matches_mpmath(name, fraction):
+    # from w = 1e-6 * cutoff, where the PV carries a w^n ln w term, to just below
+    # the truncation point
     model = PV_MODELS[name]
     x = fraction * model.cutoff
     ref = mp_pv(model, x)
-    got = pv_integral_many(model, x, QUAD)
-    # At a fractional exponent the 16 Gauss nodes of the first master panel,
-    # [0, 1e-6*cutoff], miss part of the w^n cusp.  The error of that panel's
-    # integral, divided by x, is about 7e-13*cutoff/x at n = 0.3628.
-    cusp = 0.0 if float(model.exponent).is_integer() else 1e-12 * model.cutoff / x
-    assert abs(got - ref) <= 1e-12 * (abs(ref) + ob.spectral_weight(model, x)) + cusp
+    got = pv_integral_many(model, x)
+    assert abs(got - ref) <= 1e-14 * (abs(ref) + ob.spectral_weight(model, x))
 
 
 @pytest.mark.parametrize("name", PV_MODELS)
-def test_interpolated_table_pv_matches_direct_sum(name):
-    # every node of a table, and a dense sweep of (0, T): interpolated above
-    # 1e-2*cutoff, direct below
+def test_table_pv_matches_mpmath(name):
+    # the spectral table's principal values, one vectorized call at its nodes,
+    # checked at twelve nodes spread from the smallest to the largest
     model = PV_MODELS[name]
-    grid = master_grid(model, QUAD)
-    nodes = np.union1d(build_spectral_table(model, QUAD).nodes,
-                       np.linspace(0.0, grid.T, 20_001)[1:-1])
-    direct = pv_integral_many(model, nodes, QUAD, grid)
-    scale = np.abs(direct) + ob.spectral_weight(model, nodes)
-    assert np.all(np.abs(table_pv(model, QUAD, grid, nodes) - direct) <= 1e-11 * scale)
+    nodes = build_spectral_table(model, QUAD).nodes
+    pick = nodes[np.unique(np.geomspace(1, nodes.size, 12).astype(int) - 1)]
+    got = pv_integral_many(model, nodes)[np.searchsorted(nodes, pick)]
+    for xi, value in zip(pick, got):
+        ref = mp_pv(model, xi)
+        assert abs(value - ref) <= 1e-14 * (abs(ref) + ob.spectral_weight(model, xi)), xi
 
 
-def test_interpolated_table_pv_near_the_truncation_point():
-    # the PV's g2(w) ln(T - w) term is added back, not interpolated; at the
-    # smallest truncation g2(T) is large enough for it to show
-    quad = ob.QuadConfig(upper_truncation_multiple=4.0)
-    grid = master_grid(M1, quad)
-    nodes = np.linspace(grid.bounds[-2], grid.T, 202)[1:-1]
-    direct = pv_integral_many(M1, nodes, quad, grid)
-    scale = np.abs(direct) + ob.spectral_weight(M1, nodes)
-    assert np.all(np.abs(table_pv(M1, quad, grid, nodes) - direct) <= 1e-11 * scale)
+@pytest.mark.parametrize("name", ["m1", "fractional", "n0.3628"])
+def test_axis_profile_derivatives_match_mpmath(name):
+    # X' and X'' come from the rule's R_2 and R_3 in closed form; the reference
+    # differentiates the 30-digit X(w) = w - omega - lam^2 PV(w) numerically
+    model = {**MODELS, **PV_MODELS}[name]
+    prof = axis_profile(model, QUAD)
+    lam2 = model.lam**2
+    with mp.workdps(30):
+        w0 = mp.mpf(prof.omega0)
 
+        def x_of(w):
+            return w - model.omega_bare - lam2 * mp_pv_value(model, w)
 
-def test_master_interpolation_is_exact_on_nodes_and_polynomials():
-    grid = master_grid(M1, QUAD)
-    values = np.cos(grid.x)
-    # a point on a node takes the node's value, without dividing by zero
-    assert np.array_equal(grid.interpolate(values, grid.x), values)
-    # a polynomial of degree 15 is reproduced between the nodes, panel edges included
-    poly = np.polynomial.Legendre(np.linspace(1.0, 0.1, 16), domain=[0.0, grid.T])
-    points = np.concatenate([grid.bounds, 0.5 * (grid.x[1:] + grid.x[:-1])])
-    assert np.allclose(grid.interpolate(poly(grid.x), points), poly(points), rtol=0.0, atol=1e-13)
+        xp, xs = (float(mp.diff(x_of, w0, k)) for k in (1, 2))
+        assert abs(float(x_of(w0))) <= 1e-14
+    assert prof.xprime == pytest.approx(xp, rel=1e-13)
+    assert prof.xsecond == pytest.approx(xs, rel=1e-11)
 
 
 # the series switch at 1e-3, the recurrence switch at n = 24, zeros of sin
@@ -292,12 +356,12 @@ def test_brent_root_of_x_matches_scipy(rtol):
     # the axis_profile root X(omega0) = 0, on the same bracket
     kw = {} if rtol is None else {"rtol": rtol}
     for model in _axis_models():
-        grid = master_grid(model, QUAD)
+        rule = CauchyRule(model)
 
         def x_of(w):
-            return w - model.omega_bare - model.lam**2 * pv_integral_many(model, w, QUAD, grid)
+            return w - model.omega_bare - model.lam**2 * pv_integral_many(model, w, rule)
 
-        lo, hi = 1e-6 * model.cutoff, grid.T - 1e-6 * model.cutoff
+        lo, hi = 1e-6 * model.cutoff, QUAD.truncation(model) - 1e-6 * model.cutoff
         assert x_of(lo) < 0 < x_of(hi)
         assert _brentq(x_of, lo, hi, xtol=1e-15, **kw) == scipy_brentq(x_of, lo, hi,
                                                                        xtol=1e-15, **kw)

@@ -316,4 +316,4 @@ def test_ray_angle_not_below_pole(m1, m1_resonance, quad):
 def test_ray_angle_out_of_range(m1, m1_resonance, quad, theta):
     # the Gaussian factor of g2 decays along the ray only below pi/4
     with pytest.raises(ValueError, match="pi/4"):
-        build_ray_table(m1, m1_resonance.z0, quad, t_max=1.0, theta=theta)
+        build_ray_table(m1, m1_resonance.z0, t_max=1.0, theta=theta)
