@@ -20,8 +20,11 @@
 
 * :class:`RayTable` holds nodes on the rotated ray z = s * exp(-i*theta)
   carrying the deformed background integrand
-  lam^2 g2(z) / (alpha_I(z) alpha_II(z)), evaluated as a weighted node sum;
-  alpha_I on the ray comes from the Cauchy rule.
+  lam^2 g2(z) / (alpha_I(z) alpha_II(z)); alpha_I on the ray comes from the
+  Cauchy rule.  The background is the weighted node sum
+  :func:`node_sum`, which factorizes each run of equally spaced times into
+  anchor and offset exponentials joined by one complex GEMM, and skips
+  nodes whose exponential underflows to 0.
   On the ray the Gaussian factor of g2 decays like
   exp(-s^2 cos(2 theta)/cutoff^2) and the time factor like
   exp(-s t sin(theta)), so the angle must stay below pi/4 for the table to
@@ -51,6 +54,9 @@ _INNER_CUT = 1e-5             # peak half-width below which the offset window is
 _INNER_SPAN = 1e4             # offset window half-span, in peak half-widths
 _RAY_TAIL_TOL = 1e-13         # ray truncation: Gaussian tail bound
 _RAY_MAX_NODES = 300_000
+_MIN_RUN = 16                 # node_sum: fewest equally spaced times summed as a lattice
+_RUN_ULPS = 4                 # node_sum: a lattice time's largest offset from t_a + i h, in ulps
+_EXP_ZERO = -745.2            # node_sum: exp(x) rounds to exactly 0 below this
 
 __all__ = ["SpectralTable", "RayTable", "build_spectral_table", "build_ray_table",
            "DEFAULT_RAY_ANGLE", "AxisProfile", "axis_profile"]
@@ -104,20 +110,80 @@ def axis_profile(model: ModelParams, quad_cfg: QuadConfig,
 def node_sum(times, rates, values) -> np.ndarray:
     """sum_j values_j * exp(rates_j * t) at every t.
 
-    The times go in blocks of at most ``_BLOCK`` exponentials, all computed
-    in one buffer: a fresh 4 MB temporary per block was measured slower.
+    A run of L >= ``_MIN_RUN`` equally spaced ascending times t_a + i h is
+    factorized exactly: with m = ceil(sqrt(L)), exp(r t_{km+q}) = A_k Q_q
+    for the anchor A_k = exp(r (t_a + k m h)) and the offset
+    Q_q = exp(r q h), so the run costs L/m + m exponentials per node and
+    one complex GEMM, A @ (Q * values).T.  A run is taken only where every
+    time lies within ``_RUN_ULPS`` ulps of t_a + i h, with h from the run's
+    end times, so each term stays exp(r t') with t' a few ulps from t_i.
+    All other times, and unsorted input, go to the direct sum.  Nodes whose
+    exponential is exactly 0 at every time of a block are skipped.
     """
     t = np.asarray(times, dtype=float)
     flat = t.ravel()
     out = np.empty(flat.size, dtype=complex)
-    chunk = max(1, _BLOCK // max(rates.size, 1))
-    buf = np.empty((min(chunk, flat.size), rates.size), dtype=complex)
-    for i in range(0, flat.size, chunk):
-        block = buf[:flat[i:i + chunk].size]
-        np.multiply.outer(flat[i:i + chunk], rates, out=block)
-        np.exp(block, out=block)
-        out[i:i + chunk] = block @ values
+    direct = np.ones(flat.size, dtype=bool)
+    for a, b, h in _lattice_runs(flat):
+        L = b - a
+        m = min(math.isqrt(L - 1) + 1, max(1, _BLOCK // max(rates.size, 1)))
+        weights = np.multiply.outer(np.arange(m) * h, rates)  # Q_q * values
+        np.exp(weights, out=weights)
+        weights *= values
+        out[a:b] = _anchor_sums(flat[a] + np.arange(0, L, m) * h, rates, weights).ravel()[:L]
+        direct[a:b] = False
+    idx = np.flatnonzero(direct)
+    out[idx] = _anchor_sums(flat[idx], rates, values)
     return out.reshape(t.shape)
+
+
+def _lattice_runs(t):
+    """(start, stop, step) of each run of at least ``_MIN_RUN`` equally spaced times.
+
+    Candidates are stretches of strictly ascending times whose consecutive
+    steps agree to within rounding; a candidate is a run only if every time
+    lies within ``_RUN_ULPS`` ulps of t_a + i h, h from its end times.
+    """
+    if t.size < _MIN_RUN:
+        return []
+    d = np.diff(t)
+    if not np.all(d > 0):
+        return []
+    # times within _RUN_ULPS ulps of a lattice have second differences within 4x that
+    even = np.abs(np.diff(d)) <= 4 * _RUN_ULPS * np.spacing(np.abs(t[2:]))
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], even.view(np.int8), [0]])))
+    runs = []
+    for a, b in zip(edges[0::2], edges[1::2] + 2):  # steps a..b-2 even: times a..b-1
+        if b - a < _MIN_RUN:
+            continue
+        h = (t[b - 1] - t[a]) / (b - a - 1)
+        if np.all(np.abs(t[a:b] - (t[a] + np.arange(b - a) * h))
+                  <= _RUN_ULPS * np.spacing(np.abs(t[a:b]))):
+            runs.append((a, b, h))
+    return runs
+
+
+def _anchor_sums(anchors, rates, weights) -> np.ndarray:
+    """exp(outer(anchors, rates)) @ weights.T, for weights of shape (n,) or (m, n).
+
+    The anchors go in blocks of at most ``_BLOCK`` exponentials, all computed
+    in one buffer: a fresh 4 MB temporary per block was measured slower.
+    A column whose rate has Re(rate) * t < ``_EXP_ZERO`` at both ends of a
+    block is exactly 0 there and is left out.
+    """
+    out = np.empty(anchors.shape + weights.shape[:-1], dtype=complex)
+    chunk = max(1, _BLOCK // max(rates.size, 1))
+    buf = np.empty(min(chunk, anchors.size) * rates.size, dtype=complex)
+    re = rates.real
+    for i in range(0, anchors.size, chunk):
+        ts = anchors[i:i + chunk]
+        live = np.maximum(re * ts.min(), re * ts.max()) >= _EXP_ZERO
+        r, w = (rates, weights) if live.all() else (rates[live], weights[..., live])
+        block = buf[:ts.size * r.size].reshape(ts.size, r.size)
+        np.multiply.outer(ts, r, out=block)
+        np.exp(block, out=block)
+        out[i:i + chunk] = block @ w.T
+    return out
 
 
 def spherical_jn(n: int, a) -> np.ndarray:

@@ -270,7 +270,7 @@ def cmd_survival(cfg: RunConfig, out: Path) -> dict:
     res = _resonance(cfg, model)
     gamma = res.gamma
     grid = _time_grid(cfg, gamma)
-    pb = amplitude_pole_background(model, res, grid, quad, theta=cfg["ray_theta"])
+    pb = amplitude_pole_background(model, res, grid, theta=cfg["ray_theta"])
 
     spectral_cap = cfg["spectral_t_max_gamma"] / gamma
     sp_grid = grid[grid <= spectral_cap]
@@ -323,14 +323,13 @@ def cmd_survival(cfg: RunConfig, out: Path) -> dict:
 
 def cmd_density(cfg: RunConfig, out: Path) -> dict:
     model = cfg.model
-    quad = cfg.quad
     res = _resonance(cfg, model)
     gamma = res.gamma
     omega_l = res.omega0 if cfg["lindblad_frequency"] == "shifted" else model.omega_bare
     state = OscillatorState(c11=cfg["c11"], c10=complex(cfg["re_c10"], cfg["im_c10"]))
     t_max = cfg["density_t_max_gamma"] / gamma
     grid = np.linspace(0.0, t_max, cfg["n_points"])
-    pb = amplitude_pole_background(model, res, grid, quad, theta=cfg["ray_theta"])
+    pb = amplitude_pole_background(model, res, grid, theta=cfg["ray_theta"])
 
     pos_tol = cfg["density_pos_tol"]
     rows = []

@@ -206,7 +206,13 @@ def discretize(model: ModelParams, N: int, omega_max: float,
 
 
 def oracle_amplitude(bath: DiscreteBath, tgrid) -> AmplitudeSeries:
-    """Delta0(t) = sum_k |<osc|v_k>|^2 exp(-i E_k t), exact in the finite bath."""
+    """Delta0(t) = sum_k |<osc|v_k>|^2 exp(-i E_k t), exact in the finite bath.
+
+    The sum is :func:`~oscbath._tables.node_sum`: an equally spaced grid,
+    such as the CLI's windows, is factorized into anchor and offset
+    exponentials joined by one complex GEMM.  Its skipping of nodes whose
+    exponential underflows to 0 never applies here: the rates are imaginary.
+    """
     t = np.asarray(tgrid, dtype=float)
     energies, overlaps = bath.eigensystem()
     delta0 = node_sum(t, -1j * energies, overlaps)

@@ -125,8 +125,7 @@ def alpha(model: ModelParams, point: SheetPoint, quad_cfg: QuadConfig | None = N
     return _alpha(model, CauchyRule(model), z, point.sheet)
 
 
-def alpha_boundary(model: ModelParams, omega: float, side: Side = Side.PLUS,
-                   quad_cfg: QuadConfig | None = None) -> complex:
+def alpha_boundary(model: ModelParams, omega: float, side: Side = Side.PLUS) -> complex:
     """Boundary value alpha_pm(omega) on the cut, omega > 0."""
     pv = pv_integral_many(model, float(omega))
     real = omega - model.omega_bare - model.lam**2 * pv

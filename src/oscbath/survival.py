@@ -139,13 +139,8 @@ def amplitude_spectral(model: ModelParams, tgrid,
 
 
 def amplitude_pole_background(model: ModelParams, resonance: Resonance, tgrid,
-                              quad_cfg: QuadConfig | None = None,
                               theta: float = DEFAULT_RAY_ANGLE) -> AmplitudeSeries:
-    """Survival amplitude as resonance pole term plus deformed background.
-
-    ``quad_cfg`` is accepted for callers that pass one; the ray table does
-    not use it.
-    """
+    """Survival amplitude as resonance pole term plus deformed background."""
     t = _validated_grid(tgrid)
     table = build_ray_table(model, resonance.z0, t_max=float(t.max()), theta=theta)
     pole = np.exp(-1j * resonance.z0 * t) / resonance.alpha_prime_at_pole

@@ -41,15 +41,15 @@ def m1_spectral(m1, m1_grid, quad):
 
 
 @pytest.fixture(scope="session")
-def m1_pb(m1, m1_resonance, m1_grid, quad):
-    return ob.amplitude_pole_background(m1, m1_resonance, m1_grid, quad)
+def m1_pb(m1, m1_resonance, m1_grid):
+    return ob.amplitude_pole_background(m1, m1_resonance, m1_grid)
 
 
 @pytest.fixture(scope="session")
-def m1_pb_long(m1, m1_resonance, quad):
+def m1_pb_long(m1, m1_resonance):
     gamma = m1_resonance.gamma
     grid = ob.hybrid_time_grid(1.0, gamma, 200.0 / gamma, 320)
-    return ob.amplitude_pole_background(m1, m1_resonance, grid, quad)
+    return ob.amplitude_pole_background(m1, m1_resonance, grid)
 
 
 @pytest.fixture(scope="session")

@@ -110,7 +110,7 @@ def test_criterion_03_dual_method(m1, m1_resonance, quad):
     grid = ob.hybrid_time_grid(1.0, gamma, 10.0 / gamma, 200)
     start = time.perf_counter()
     spectral = ob.amplitude_spectral(m1, grid, quad)
-    pole_bg = ob.amplitude_pole_background(m1, m1_resonance, grid, quad)
+    pole_bg = ob.amplitude_pole_background(m1, m1_resonance, grid)
     sup = float(np.max(np.abs(spectral.delta0 - pole_bg.delta0)))
     elapsed = time.perf_counter() - start
     assert sup < 1e-6
@@ -165,7 +165,7 @@ def test_criterion_07_khalfin(m1_resonance, m1_pb_long, quad):
     res2 = ob.find_resonance(m_supra, quad, tol=1e-12)
     g2 = res2.gamma
     grid = ob.hybrid_time_grid(1.0, g2, 200.0 / g2, 320)
-    pb2 = ob.amplitude_pole_background(m_supra, res2, grid, quad)
+    pb2 = ob.amplitude_pole_background(m_supra, res2, grid)
     slope2 = ob.khalfin_exponent(pb2, (80.0 / g2, 200.0 / g2))
     elapsed = time.perf_counter() - start
     assert slope2 == pytest.approx(-6.0, abs=0.3)
@@ -187,11 +187,11 @@ def test_criterion_08_rate_ordering(quad):
         f"n={n}: {g:.6f}" for n, g in sorted(rates.items())))
 
 
-def test_criterion_09_density_matrix(m1, m1_resonance, quad):
+def test_criterion_09_density_matrix(m1, m1_resonance):
     gamma = m1_resonance.gamma
     rng = np.random.default_rng(20260810)
     times = np.sort(rng.uniform(0.0, 20.0 / gamma, 10_000))
-    series = ob.amplitude_pole_background(m1, m1_resonance, times, quad)
+    series = ob.amplitude_pole_background(m1, m1_resonance, times)
     worst_trace = 0.0
     worst_det = 0.0
     for t, amp in zip(times, series.delta0):
@@ -202,7 +202,7 @@ def test_criterion_09_density_matrix(m1, m1_resonance, quad):
     assert worst_trace < 1e-12
     assert worst_det >= -1e-12
     final = ob.amplitude_pole_background(m1, m1_resonance,
-                                         np.array([0.0, 20.0 / gamma]), quad)
+                                         np.array([0.0, 20.0 / gamma]))
     rho_end = ob.reduced_density(ob.OscillatorState(c11=1.0), final.delta0[1],
                                  20.0 / gamma)
     assert rho_end.rho00 > 0.999
@@ -210,7 +210,7 @@ def test_criterion_09_density_matrix(m1, m1_resonance, quad):
         f"det >= {worst_det:.1e}; rho00(20/gamma) = {rho_end.rho00:.6f}")
 
 
-def test_criterion_10_pauli_lindblad(m1, m1_resonance, quad):
+def test_criterion_10_pauli_lindblad(m1, m1_resonance):
     gamma = m1_resonance.gamma
     state = ob.OscillatorState(c11=0.5, c10=0.5)
     h = 1e-3 / gamma
@@ -219,7 +219,7 @@ def test_criterion_10_pauli_lindblad(m1, m1_resonance, quad):
     residual = ob.pauli_residual(traj, gamma)
     assert residual < 1e-8
     grid = np.linspace(0.0, 20.0 / gamma, 1500)
-    pb = ob.amplitude_pole_background(m1, m1_resonance, grid, quad)
+    pb = ob.amplitude_pole_background(m1, m1_resonance, grid)
     sup = 0.0
     for t, d in zip(grid, pb.delta0):
         exact = ob.reduced_density(state, d, t)

@@ -26,10 +26,10 @@ def test_full_decay_reaches_vacuum():
     assert rho.rho10 == 0.0
 
 
-def test_trace_and_positivity_mixed_state(m1, m1_resonance, quad):
+def test_trace_and_positivity_mixed_state(m1, m1_resonance):
     state = ob.OscillatorState(c11=0.5, c10=0.5)
     t = 2.0 / m1_resonance.gamma
-    series = ob.amplitude_pole_background(m1, m1_resonance, np.array([0.0, t]), quad)
+    series = ob.amplitude_pole_background(m1, m1_resonance, np.array([0.0, t]))
     rho = ob.reduced_density(state, series.delta0[1], t)
     assert rho.trace == pytest.approx(1.0, abs=1e-15)
     assert rho.positivity_determinant >= 0.0
@@ -92,11 +92,11 @@ def test_lindblad_matches_normalized_pole_term(m1_resonance):
         assert exact.rho10 == pytest.approx(lind.rho10, abs=1e-12)
 
 
-def test_lindblad_close_to_exact(m1, m1_resonance, quad):
+def test_lindblad_close_to_exact(m1, m1_resonance):
     state = ob.OscillatorState(c11=0.5, c10=0.5)
     gamma = m1_resonance.gamma
     grid = np.linspace(0.0, 20.0 / gamma, 800)
-    pb = ob.amplitude_pole_background(m1, m1_resonance, grid, quad)
+    pb = ob.amplitude_pole_background(m1, m1_resonance, grid)
     sup = 0.0
     for t, d in zip(grid, pb.delta0):
         exact = ob.reduced_density(state, d, t)
@@ -136,14 +136,14 @@ def test_pauli_residual_vacuum_stationary(m1_resonance):
     assert ob.pauli_residual(traj, gamma) == 0.0
 
 
-def test_pauli_residual_exact_trajectory_reported(m1, m1_resonance, quad):
+def test_pauli_residual_exact_trajectory_reported(m1, m1_resonance):
     # the exact evolution with background is not a rate equation; its defect
     # is finite and small but has no asserted scale
     gamma = m1_resonance.gamma
     state = ob.OscillatorState(c11=0.5, c10=0.5)
     h = 1e-2 / gamma
     times = np.arange(0.0, 1.0 / gamma, h)
-    pb = ob.amplitude_pole_background(m1, m1_resonance, times, quad)
+    pb = ob.amplitude_pole_background(m1, m1_resonance, times)
     traj = [ob.reduced_density(state, d, t) for t, d in zip(times, pb.delta0)]
     residual = ob.pauli_residual(traj, gamma)
     assert np.isfinite(residual)
@@ -168,11 +168,11 @@ def test_equilibrium_cases():
         assert rho.rho10 == 0.0
 
 
-def test_equilibrium_approach_and_monotonicity(m1, m1_resonance, quad):
+def test_equilibrium_approach_and_monotonicity(m1, m1_resonance):
     gamma = m1_resonance.gamma
     state = ob.OscillatorState(c11=1.0)
     grid = np.linspace(0.0, 20.0 / gamma, 600)
-    pb = ob.amplitude_pole_background(m1, m1_resonance, grid, quad)
+    pb = ob.amplitude_pole_background(m1, m1_resonance, grid)
     rho00 = np.array([ob.reduced_density(state, d, t).rho00
                       for t, d in zip(grid, pb.delta0)])
     assert rho00[-1] > 0.999
@@ -181,7 +181,6 @@ def test_equilibrium_approach_and_monotonicity(m1, m1_resonance, quad):
     t_zeno, _ = ob.crossover_times(m1_resonance,
                                    ob.amplitude_pole_background(
                                        m1, m1_resonance,
-                                       ob.hybrid_time_grid(1.0, gamma, 200.0 / gamma, 320),
-                                       quad))
+                                       ob.hybrid_time_grid(1.0, gamma, 200.0 / gamma, 320)))
     window = (grid >= t_zeno) & (grid <= 10.0 / gamma)
     assert np.all(np.diff(rho00[window]) > -1e-12)

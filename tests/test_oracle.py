@@ -72,14 +72,14 @@ def test_oracle_tracks_continuum(m1, quad, uniform_bath_1000):
     assert dev.max() < 1e-3
 
 
-def test_recurrence_spike(m1, m1_resonance, quad):
+def test_recurrence_spike(m1, m1_resonance):
     # a small bath returns its energy: the discrete amplitude revives far
     # above the decayed continuum value near multiples of the recurrence time
     bath = ob.discretize(m1, 50, 30.0, ob.Scheme.UNIFORM)
     t_rec = ob.recurrence_time(bath)
     grid = np.linspace(0.5 * t_rec, 14.0 * t_rec, 4000)
     disc = ob.oracle_amplitude(bath, grid)
-    cont = ob.amplitude_pole_background(m1, m1_resonance, grid, quad)
+    cont = ob.amplitude_pole_background(m1, m1_resonance, grid)
     ratio = np.abs(disc.delta0) / np.maximum(np.abs(cont.delta0), 1e-300)
     assert ratio.max() > 10.0
 

@@ -52,21 +52,21 @@ def test_second_sheet_point_requires_lower_half_plane():
         ob.SheetPoint(complex(1.0, 0.5), II)
 
 
-def test_alpha_boundary_free(quad):
+def test_alpha_boundary_free():
     m = ob.build_model(1.0, 0.0, 1.0, 5.0, 1.0)
-    assert ob.alpha_boundary(m, 2.0, ob.Side.PLUS, quad) == pytest.approx(1.0, abs=1e-13)
+    assert ob.alpha_boundary(m, 2.0, ob.Side.PLUS) == pytest.approx(1.0, abs=1e-13)
 
 
-def test_alpha_boundary_m1_imaginary_part(m1, quad):
-    val = ob.alpha_boundary(m1, 1.0, ob.Side.PLUS, quad)
+def test_alpha_boundary_m1_imaginary_part(m1):
+    val = ob.alpha_boundary(m1, 1.0, ob.Side.PLUS)
     assert val.imag == pytest.approx(math.pi * 0.01 * math.exp(-0.04), rel=1e-12)
     assert val.imag == pytest.approx(0.0301839, abs=1e-6)
 
 
-def test_alpha_boundary_conjugation(m1, quad):
+def test_alpha_boundary_conjugation(m1):
     for w in (0.4, 1.0, 3.7):
-        plus = ob.alpha_boundary(m1, w, ob.Side.PLUS, quad)
-        minus = ob.alpha_boundary(m1, w, ob.Side.MINUS, quad)
+        plus = ob.alpha_boundary(m1, w, ob.Side.PLUS)
+        minus = ob.alpha_boundary(m1, w, ob.Side.MINUS)
         assert minus == pytest.approx(plus.conjugate(), abs=1e-14)
 
 
@@ -223,7 +223,7 @@ def test_schwarz_reflection(m1, quad):
 def test_boundary_consistency_richardson(m1, quad):
     # alpha(w + i eps, I) -> alpha_plus(w); the approach is linear in eps
     w = 1.3
-    ref = ob.alpha_boundary(m1, w, ob.Side.PLUS, quad)
+    ref = ob.alpha_boundary(m1, w, ob.Side.PLUS)
     vals = [ob.alpha(m1, ob.SheetPoint(complex(w, eps), I), quad)
             for eps in (1e-3, 1e-4, 1e-5)]
     extrap = (10.0 * vals[1] - vals[0]) / 9.0
@@ -235,7 +235,7 @@ def test_boundary_consistency_richardson(m1, quad):
 def test_sheet_continuity_across_cut(m1, quad):
     # the second sheet from below joins the upper boundary value
     w = 1.3
-    ref = ob.alpha_boundary(m1, w, ob.Side.PLUS, quad)
+    ref = ob.alpha_boundary(m1, w, ob.Side.PLUS)
     diffs = [abs(ob.alpha(m1, ob.SheetPoint(complex(w, -eps), II), quad) - ref)
              for eps in (1e-3, 1e-4, 1e-5)]
     assert diffs[2] < diffs[1] < diffs[0]

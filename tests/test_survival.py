@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oscbath as ob
 from oscbath._tables import build_ray_table, build_spectral_table, node_sum
@@ -60,10 +62,10 @@ def test_oracle_consistency_exponential_point(m1, m1_resonance, quad, uniform_ba
     assert abs(abs(sp.delta0[0]) ** 2 - abs(disc.delta0[0]) ** 2) < 1e-3
 
 
-def test_background_dominates_at_late_times(m1, m1_resonance, quad):
+def test_background_dominates_at_late_times(m1, m1_resonance):
     gamma = m1_resonance.gamma
     t = np.array([0.0, 50.0 / gamma])
-    pb = ob.amplitude_pole_background(m1, m1_resonance, t, quad)
+    pb = ob.amplitude_pole_background(m1, m1_resonance, t)
     assert abs(pb.background[1]) > abs(pb.pole_term[1])
 
 
@@ -99,11 +101,11 @@ def test_gamma_in_exponential_window(m1_resonance, m1_pb):
     assert np.all(np.abs(G[mask] - gamma) < 0.02 * gamma)
 
 
-def test_gamma_late_log_over_t(m1, m1_resonance, quad):
+def test_gamma_late_log_over_t(m1, m1_resonance):
     # -ln P / t drifts like ln t / t at late times: Gamma*t/ln t flattens
     gamma = m1_resonance.gamma
     ts = np.array([50.0, 100.0, 200.0]) / gamma
-    pb = ob.amplitude_pole_background(m1, m1_resonance, ts, quad)
+    pb = ob.amplitude_pole_background(m1, m1_resonance, ts)
     P, G = ob.survival_probability(pb)
     v = G * ts / np.log(ts)
     assert abs(v[2] - v[1]) < abs(v[1] - v[0])
@@ -168,7 +170,7 @@ def test_khalfin_exponent_supraohmic(quad):
     res = ob.find_resonance(m, quad, tol=1e-12)
     gamma = res.gamma
     grid = ob.hybrid_time_grid(1.0, gamma, 200.0 / gamma, 320)
-    pb = ob.amplitude_pole_background(m, res, grid, quad)
+    pb = ob.amplitude_pole_background(m, res, grid)
     slope = ob.khalfin_exponent(pb, (80.0 / gamma, 200.0 / gamma))
     assert slope == pytest.approx(-6.0, abs=0.3)
 
@@ -196,7 +198,7 @@ def test_crossover_scaling_with_coupling(m1, m1_resonance, m1_pb_long, quad):
     m = ob.build_model(1.0, 0.2, 1.0, 5.0, 1.0)
     res = ob.find_resonance(m, quad, tol=1e-12)
     grid = ob.hybrid_time_grid(1.0, res.gamma, 200.0 / res.gamma, 320)
-    pb = ob.amplitude_pole_background(m, res, grid, quad)
+    pb = ob.amplitude_pole_background(m, res, grid)
     tk_strong = ob.crossover_times(res, pb)[1]
     tk_weak = ob.crossover_times(m1_resonance, m1_pb_long)[1]
     assert tk_strong * res.gamma < tk_weak * m1_resonance.gamma
@@ -206,7 +208,7 @@ def test_crossover_not_bracketed_without_decay(quad):
     m = ob.build_model(1.0, 1e-8, 1.0, 5.0, 1.0)
     res = ob.find_resonance(m, quad, tol=1e-12)
     grid = np.concatenate([[0.0], np.geomspace(1e-4, 50.0, 80)])
-    pb = ob.amplitude_pole_background(m, res, grid, quad)
+    pb = ob.amplitude_pole_background(m, res, grid)
     with pytest.raises(ob.CrossoverNotBracketed):
         ob.crossover_times(res, pb)
 
@@ -246,7 +248,7 @@ def test_spectral_route_at_long_times(m1, m1_resonance, quad):
     # the table resolves the weight, not the phase, so one table serves any t
     times = np.concatenate([[0.0], np.geomspace(1.0, 1e7, 29)])
     sp = ob.amplitude_spectral(m1, times, quad)
-    pb = ob.amplitude_pole_background(m1, m1_resonance, times, quad)
+    pb = ob.amplitude_pole_background(m1, m1_resonance, times)
     assert np.max(np.abs(sp.delta0 - pb.delta0)) < 1e-13
 
 
@@ -272,7 +274,7 @@ def test_narrow_resonance_routes_agree(quad):
     res = ob.find_resonance(NARROW, quad)
     grid = ob.hybrid_time_grid(NARROW.omega_bare, res.gamma, 1.5e5, 320)
     sp = ob.amplitude_spectral(NARROW, grid, quad)
-    pb = ob.amplitude_pole_background(NARROW, res, grid, quad)
+    pb = ob.amplitude_pole_background(NARROW, res, grid)
     assert np.max(np.abs(sp.delta0 - pb.delta0)) < 1e-10
 
 
@@ -286,6 +288,85 @@ def test_node_sum_across_chunks():
     times = np.array([0.0, 0.01, 0.3, 1.0, 2.5, 7.0, 20.0])
     direct = np.array([np.sum(values * np.exp(rates * t)) for t in times])
     assert np.max(np.abs(node_sum(times, rates, values) - direct)) < 1e-12
+
+
+def _extended_sum(times, rates, values):
+    """The node sum one time at a time, in extended precision."""
+    r, v = rates.astype(np.clongdouble), values.astype(np.clongdouble)
+    return np.array([np.sum(v * np.exp(r * t)) for t in np.asarray(times, np.longdouble)])
+
+
+def _rounding_bound(times, rates, values):
+    # each term may be exp(r t') with t' a few ulps from t, and is rounded
+    # a few times more; the bound scales with the term's own size
+    rt = np.multiply.outer(np.asarray(times, dtype=float), rates)
+    return 32 * np.finfo(float).eps * (np.exp(rt.real) * (1.0 + np.abs(rt))) @ np.abs(values)
+
+
+def _assert_node_sum(times, rates, values):
+    got = node_sum(times, rates, values)
+    err = np.abs(got - _extended_sum(times, rates, values)).astype(float)
+    assert got.shape == np.shape(times)
+    assert np.all(err <= _rounding_bound(times, rates, values))
+
+
+def _grid(name, t_max, gamma):
+    rng = np.random.default_rng(11)
+    if name == "linspace":
+        return np.linspace(0.0, t_max, 320)
+    if name == "hybrid":
+        return ob.hybrid_time_grid(1.0, gamma, t_max, 320)
+    if name == "irregular":
+        return np.sort(rng.uniform(0.0, t_max, 200))
+    if name == "nudged":  # off the lattice by 1e-9 relative, far above the ulps allowed
+        t = np.linspace(0.1 * t_max, t_max, 100)
+        t[57] *= 1.0 + 1e-9
+        return t
+    if name == "single":
+        return np.array([0.7 * t_max])
+    return rng.permutation(np.linspace(0.0, t_max, 64))  # unsorted
+
+
+GRIDS = ["linspace", "hybrid", "irregular", "nudged", "single", "unsorted"]
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_node_sum_ray_table(m1, m1_resonance, grid):
+    # the reference model's ray table out to 200 lifetimes, where most late
+    # columns underflow
+    t_max = 200.0 / m1_resonance.gamma
+    table = build_ray_table(m1, m1_resonance.z0, t_max)
+    rates = (-math.sin(table.theta) - 1j * math.cos(table.theta)) * table.s_nodes
+    assert np.mean(rates.real * t_max < -745.2) > 0.3
+    _assert_node_sum(_grid(grid, t_max, m1_resonance.gamma), rates, table.values)
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_node_sum_oracle_rates(m1_resonance, uniform_bath_1000, grid):
+    # imaginary rates -i E with |E t| up to about 1e4, as in the oracle
+    energies, overlaps = uniform_bath_1000.eigensystem()
+    t_max = 1e4 / energies.max()
+    _assert_node_sum(_grid(grid, t_max, m1_resonance.gamma), -1j * energies, overlaps)
+
+
+def test_node_sum_keeps_every_column_that_does_not_underflow():
+    # subnormal terms add exactly, so dropping a column that is nonzero
+    # anywhere in the block (Re(rate) t_min above -745.13) changes the sum
+    rates = -np.arange(712.0, 760.0, 0.25) + 0j
+    values = np.ones(rates.size)
+    times = np.array([1.0004, 0.999, 1.001, 0.9995, 1.0])
+    direct = np.array([np.exp(rates * t) @ values for t in times])
+    assert np.all(direct > 0)
+    assert np.array_equal(node_sum(times, rates, values), direct)
+
+
+@settings(deadline=None, max_examples=60)
+@given(start=st.floats(0.0, 1e3), step=st.floats(1e-3, 10.0), length=st.integers(1, 300))
+def test_node_sum_equally_spaced_runs(start, step, length):
+    rng = np.random.default_rng(5)
+    rates = -rng.uniform(0.0, 1.0, 40) + 1j * rng.uniform(-40.0, 40.0, 40)
+    values = rng.uniform(-1.0, 1.0, 40) + 1j * rng.uniform(-1.0, 1.0, 40)
+    _assert_node_sum(start + np.arange(length) * step, rates, values)
 
 
 def test_hybrid_grid_shape(m1_resonance):
@@ -304,12 +385,11 @@ def test_phase_report_ordering_invariant():
                        khalfin_exponent=-4.0, t_zeno=10.0, t_khalfin=1.0)
 
 
-def test_ray_angle_not_below_pole(m1, m1_resonance, quad):
+def test_ray_angle_not_below_pole(m1, m1_resonance):
     # the angle is used as given; one that does not pass below the pole fails
     # with a message that names the admissible interval
     with pytest.raises(ob.PoleOnRay, match=r"\(0\.05043, pi/4\)"):
-        ob.amplitude_pole_background(m1, m1_resonance, np.array([0.0, 1.0]),
-                                     quad, theta=0.02)
+        ob.amplitude_pole_background(m1, m1_resonance, np.array([0.0, 1.0]), theta=0.02)
 
 
 @pytest.mark.parametrize("theta", [-0.5, 0.0, math.pi / 4, 1.0, 2.0])

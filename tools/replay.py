@@ -2,6 +2,7 @@
 
     python3 tools/replay.py decay_phases 1-10
     python3 tools/replay.py pole_scan 1-5 --against ../other-checkout
+    python3 tools/replay.py decay_phases 1-3 --against ../other-checkout --artifacts
 
 Prints one line per job: seed, job id, exit code, the error class named on
 stderr and the bench check it missed ("-" for none).  The job lists and the
@@ -9,12 +10,22 @@ checks are imported from this checkout's ``bench/jobs.py`` and
 ``bench/checks.py``.  With ``--against`` the package of another checkout
 replays the same jobs in a child process at the same time, and only the
 lines that differ are printed, the other checkout's after ``|``.
+
+``--artifacts`` (with ``--against``) also compares the files of every job
+that passes on both checkouts.  For each numeric CSV column and JSON field
+that differs it prints the largest absolute and relative difference,
+relative to the larger magnitude of the two values; a CSV row's text cells
+(such as ``method``) label its column, and a JSON list's entries share one
+label.  A last block gives the largest differences of each label over all
+jobs.
 """
 
 import argparse
 import contextlib
+import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -23,7 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def replay(src: Path, workload: str, seeds) -> list[str]:
+def replay(src: Path, workload: str, seeds, tmp: Path) -> list[str]:
     sys.path[:0] = [str(src), str(ROOT / "bench")]
     import checks
     import jobs
@@ -31,26 +42,96 @@ def replay(src: Path, workload: str, seeds) -> list[str]:
     from oscbath import cli
 
     checker, lines = checks.Checker(oscbath), []
-    with tempfile.TemporaryDirectory() as tmp:
-        for seed in seeds:
-            rows, ladder = [], {}
-            for job in jobs.build_jobs(workload, seed):
-                config, out = Path(tmp, job.id + ".cfg"), Path(tmp, str(seed), job.id)
-                config.write_text(job.config_text())
-                err = io.StringIO()
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                    code = cli.main([job.command, "--config", str(config), "--out", str(out)])
-                error = json.loads(err.getvalue().splitlines()[-1])["error"] if code else "-"
-                missed = checker.check(job, out) if code == 0 else None
-                rung = job.params["oracle_n"] if job.params.get("oracle_scheme") == "uniform" else None
-                if rung is not None and code == 0 and missed is None:
-                    report = json.loads((out / "oracle.json").read_text())
-                    ladder[rung] = report["ladder"][0]["max_abs_dP"]
-                rows.append((job.id, code, error, missed, rung))
-            ladder_missed = checks.oracle_ladder(ladder)  # the uniform rungs are checked together
-            lines += [f"{seed} {name} {code} {error} {missed or ladder_missed.get(rung) or '-'}"
-                      for name, code, error, missed, rung in rows]
+    tmp.mkdir(parents=True, exist_ok=True)
+    for seed in seeds:
+        rows, ladder = [], {}
+        for job in jobs.build_jobs(workload, seed):
+            config, out = Path(tmp, job.id + ".cfg"), Path(tmp, str(seed), job.id)
+            config.write_text(job.config_text())
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([job.command, "--config", str(config), "--out", str(out)])
+            error = json.loads(err.getvalue().splitlines()[-1])["error"] if code else "-"
+            missed = checker.check(job, out) if code == 0 else None
+            rung = job.params["oracle_n"] if job.params.get("oracle_scheme") == "uniform" else None
+            if rung is not None and code == 0 and missed is None:
+                report = json.loads((out / "oracle.json").read_text())
+                ladder[rung] = report["ladder"][0]["max_abs_dP"]
+            rows.append((job.id, code, error, missed, rung))
+        ladder_missed = checks.oracle_ladder(ladder)  # the uniform rungs are checked together
+        lines += [f"{seed} {name} {code} {error} {missed or ladder_missed.get(rung) or '-'}"
+                  for name, code, error, missed, rung in rows]
     return lines
+
+
+def _number(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def numbers(path: Path) -> dict[str, list[float]]:
+    """The numbers of one CSV or JSON artifact, by label, in file order."""
+    found = {}
+    if path.suffix == ".json":
+        def walk(node, label):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    walk(value, f"{label}.{key}" if label else key)
+            elif isinstance(node, list):
+                for value in node:
+                    walk(value, label + "[]")
+            elif isinstance(node, (int, float)) and not isinstance(node, bool):
+                found.setdefault(label, []).append(float(node))
+        walk(json.loads(path.read_text()), "")
+    elif path.suffix == ".csv":
+        with path.open(newline="") as f:
+            for row in csv.DictReader(f):
+                cells = {column: _number(text) for column, text in row.items()}
+                tag = ",".join(text for column, text in row.items() if cells[column] is None)
+                for column, x in cells.items():
+                    if x is not None:
+                        found.setdefault(f"{column}[{tag}]" if tag else column, []).append(x)
+    return found
+
+
+def difference(xs, ys) -> tuple[float, float]:
+    """Largest absolute and relative difference of two equally long lists."""
+    d_abs = d_rel = 0.0
+    for x, y in zip(xs, ys):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        d = abs(x - y) if math.isfinite(x - y) else math.inf
+        d_abs = max(d_abs, d)
+        d_rel = max(d_rel, d / max(abs(x), abs(y)) if math.isfinite(d) else math.inf)
+    return d_abs, d_rel
+
+
+def compare_artifacts(lines, other, here: Path, there: Path) -> list[str]:
+    """Differences of the artifacts of every job that passes on both checkouts."""
+    report, largest, jobs = [], {}, 0
+    for mine, theirs in zip(lines, other):
+        seed, job, code, _, missed = mine.split(maxsplit=4)
+        if mine != theirs or code != "0" or missed != "-":
+            continue
+        jobs += 1
+        for path in sorted(Path(here, seed, job).iterdir()):
+            ours, others = numbers(path), numbers(Path(there, seed, job, path.name))
+            for label in sorted(ours.keys() | others.keys()):
+                xs, ys, name = ours.get(label, []), others.get(label, []), f"{path.name}:{label}"
+                if len(xs) != len(ys):
+                    report.append(f"{seed} {job} {name} has {len(xs)} | {len(ys)} values")
+                    continue
+                d_abs, d_rel = difference(xs, ys)
+                if d_abs:
+                    report.append(f"{seed} {job} {name} abs {d_abs:.3g} rel {d_rel:.3g}")
+                worst = largest.get(name, (0.0, 0.0))
+                largest[name] = (max(worst[0], d_abs), max(worst[1], d_rel))
+    report.append(f"largest differences over {jobs} jobs that pass on both:")
+    report += [f"  {name} abs {d_abs:.3g} rel {d_rel:.3g}"
+               for name, (d_abs, d_rel) in sorted(largest.items())]
+    return report
 
 
 def main():
@@ -58,22 +139,32 @@ def main():
     parser.add_argument("workload", choices=("pole_scan", "decay_phases", "bath_ladder"))
     parser.add_argument("seeds", help="a seed or an inclusive range such as 1-10")
     parser.add_argument("--against", type=Path, help="another checkout to compare with")
+    parser.add_argument("--artifacts", action="store_true",
+                        help="with --against, compare the files of the jobs that pass on both")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help=argparse.SUPPRESS)
+    parser.add_argument("--out", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.artifacts and args.against is None:
+        parser.error("--artifacts needs --against")
     lo, _, hi = args.seeds.partition("-")
-    if args.against is not None:
-        child = subprocess.Popen([sys.executable, __file__, args.workload, args.seeds,
-                                  "--src", str(args.against / "src")],
-                                 stdout=subprocess.PIPE, text=True)
-    lines = replay(args.src, args.workload, range(int(lo), int(hi or lo) + 1))
-    if args.against is None:
-        print("\n".join(lines))
-        return
-    other = child.communicate()[0].splitlines()
-    if child.returncode:
-        sys.exit(f"the replay of {args.against} failed")
-    diffs = [f"{a} | {b}" for a, b in zip(lines, other) if a != b]
-    print("\n".join(diffs) or f"{len(lines)} jobs, no difference")
+    seeds = range(int(lo), int(hi or lo) + 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        here, there = args.out or Path(tmp, "here"), Path(tmp, "there")
+        if args.against is not None:
+            child = subprocess.Popen([sys.executable, __file__, args.workload, args.seeds,
+                                      "--src", str(args.against / "src"), "--out", str(there)],
+                                     stdout=subprocess.PIPE, text=True)
+        lines = replay(args.src, args.workload, seeds, here)
+        if args.against is None:
+            print("\n".join(lines))
+            return
+        other = child.communicate()[0].splitlines()
+        if child.returncode:
+            sys.exit(f"the replay of {args.against} failed")
+        diffs = [f"{a} | {b}" for a, b in zip(lines, other) if a != b]
+        print("\n".join(diffs) or f"{len(lines)} jobs, no difference")
+        if args.artifacts:
+            print("\n".join(compare_artifacts(lines, other, here, there)))
     sys.exit(1 if diffs or len(lines) != len(other) else 0)
 
 
