@@ -199,19 +199,23 @@ def build_runconfig(raw: dict, overrides=()) -> RunConfig:
     return RunConfig(values)
 
 
-def _fmt(x) -> str:
+def _spec(x) -> str:
     if isinstance(x, str):
-        return x
+        return "%s"
     if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+        return "%d"
+    return "%.17g"
 
 
 def write_csv(path: Path, header, rows):
+    """Write ``rows`` under ``header``: strings as they are, integers in
+    decimal and every other value as a float to 17 significant digits.  Each
+    column keeps the type of its cell in the first row."""
     with path.open("w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        if rows:
+            line = ",".join(_spec(v) for v in rows[0]) + "\n"
+            fh.writelines(line % tuple(row) for row in rows)
 
 
 def write_json(path: Path, payload) -> str:

@@ -10,10 +10,15 @@ overlaps |<osc|v_k>|^2, which the secular equation
 
     f(E) = E - omega_bare - sum_k g_k^2 / (E - w_k) = 0,   |<osc|v_k>|^2 = 1 / f'(E_k)
 
-gives in O(N^2) time and O(N) memory (Gu & Eisenstat, SIAM J. Matrix Anal.
-Appl. 15 (1994) 1266; Jakovcevic Stor, Slapnicar & Barlow, Linear Algebra
-Appl. 464 (2015) 62).  The amplitude is then exact at any time, with no
-propagation error, at the price of finite recurrence times.
+gives in O(N) memory (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 15 (1994)
+1266; Jakovcevic Stor, Slapnicar & Barlow, Linear Algebra Appl. 464 (2015)
+62).  Each sweep of the root iteration sums the poles near a block of roots
+exactly and reads the rest from Chebyshev tables made once per block, so a
+sweep costs O(N) times the near width plus the table size, and the tables
+O(N^2 / block) once (Livne & Brandt, SIAM J. Matrix Anal. Appl. 24 (2002)
+439; Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172, on fast
+multipole sums for the same equation).  The amplitude is then exact at any
+time, with no propagation error, at the price of finite recurrence times.
 """
 
 from __future__ import annotations
@@ -36,6 +41,21 @@ __all__ = ["Scheme", "DiscreteBath", "arrow_eigensystem", "discretize", "oracle_
 _EPS = np.finfo(float).eps
 _DEFLATE = 8.0 * _EPS   # coupling or mode gap (of the rescaled matrix) below which a mode deflates
 _MAX_SWEEPS = 100       # roots take 4 to 8 sweeps; the cap only ends a failed solve
+_ROOTS = 128            # roots per block, sharing near poles and a far table (fastest of 24-192)
+_SEPARATION = 0.5       # a pole is far from a block at this multiple of the block's width
+# A far pole lies at |x| >= 1 + 2 * _SEPARATION = 2 in the block's coordinate
+# x = (2E - e0 - e1) / (e1 - e0), on the Bernstein ellipse rho = 2 + sqrt(3).
+# The Chebyshev coefficients of 1 / (2 - x) are 2 rho^-n / sqrt(3), those of
+# 1 / (2 - x)^2 are (2/3) (n + 2/sqrt(3)) rho^-n, so interpolation in P points
+# errs by at most twice their tails: 3.2 rho^-P and (1.8 P + 2.8) rho^-P of
+# the term's largest value on the block.  The terms of each tabulated sum
+# share one sign, so the bounds hold for the sums.  P = 31 is the least P
+# that puts the squared sums' bound (1.1e-16) below eps; the plain sums' is
+# 6e-18.  P = 28 would leave 5e-15 on the squared sums.
+_CHEB = 31
+_NODES = np.cos(np.pi * np.arange(_CHEB) / (_CHEB - 1))  # Chebyshev points, 1 down to -1
+_BARY = np.where(np.arange(_CHEB) % 2 == 0, 1.0, -1.0)   # their barycentric weights
+_BARY[[0, -1]] *= 0.5
 
 
 class Scheme(enum.Enum):
@@ -95,6 +115,57 @@ def arrow_eigensystem(corner: float, diagonal, border):
     return energies[order], overlaps[order]
 
 
+def _far_table(q: np.ndarray, z2: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Columns sum_j z2_j / (q_j - u_i) and sum_j z2_j / (q_j - u_i)^2, one
+    row per point u_i, summed in blocks of at most ``_BLOCK`` terms."""
+    table = np.zeros((u.size, 2))
+    cols = max(1, _BLOCK // u.size)
+    for s in range(0, q.size, cols):
+        inv = np.subtract(q[s:s + cols], u[:, None])
+        np.divide(1.0, inv, out=inv)
+        table[:, 0] += inv @ z2[s:s + cols]
+        inv *= inv
+        table[:, 1] += inv @ z2[s:s + cols]
+    return table
+
+
+def _interpolate(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The columns of ``table``, tabulated at ``_NODES``, read at the points
+    ``x`` by the barycentric formula; a point on a node takes that row."""
+    diff = x[:, None] - _NODES
+    hit = diff == 0.0
+    c = _BARY / np.where(hit, 1.0, diff)
+    values = (c @ table) / c.sum(axis=1)[:, None]
+    rows, nodes = np.nonzero(hit)
+    values[rows] = table[nodes]
+    return values
+
+
+def _root_blocks(d: np.ndarray, z2: np.ndarray, poles: np.ndarray):
+    """Yield (k, jl, jr, e0, width, table) for each block of roots k.
+
+    A block is ``_ROOTS`` consecutive roots, whose brackets span [e0, e0 +
+    width].  The poles d_j with jl <= j < jr are near it; the others, at
+    least ``_SEPARATION * width`` away, are far.  ``table`` holds the far
+    sums of 1/(d_j - E) and 1/(d_j - E)^2, over the far poles left of the
+    block and then over all far poles, at E = e0 + width (1 + x) / 2 for x
+    in ``_NODES``.  A block whose near poles would make temporaries above
+    ``_BLOCK`` elements comes in parts that share its table.
+    """
+    m = d.size
+    for first in range(0, m + 1, _ROOTS):
+        last = min(first + _ROOTS, m + 1)
+        e0, width = poles[first], poles[last] - poles[first]
+        jl = int(np.searchsorted(d, e0 - _SEPARATION * width, side="right"))
+        jr = int(np.searchsorted(d, poles[last] + _SEPARATION * width, side="left"))
+        u = 0.5 * width * (1.0 + _NODES)
+        far_left = _far_table(d[:jl] - e0, z2[:jl], u)
+        table = np.hstack([far_left, far_left + _far_table(d[jr:] - e0, z2[jr:], u)])
+        rows = max(1, _BLOCK // max(jr - jl, _CHEB))
+        for start in range(first, last, rows):
+            yield np.arange(start, min(start + rows, last)), jl, jr, e0, width, table
+
+
 def _secular_roots(a: float, d: np.ndarray, z2: np.ndarray):
     """Roots E of f(E) = E - a + sum_j z2_j / (d_j - E) and 1 / f'(E) at each.
 
@@ -108,9 +179,18 @@ def _secular_roots(a: float, d: np.ndarray, z2: np.ndarray):
     matches f and f' at the current point, as in LAPACK's dlaed4: S and T
     carry the slopes of the poles on either side, and the unit slope of
     E - a goes with the farther pole (the virtual pole lo or hi at the ends).
-    A step that leaves the bracket is replaced by bisection.  The roots are
-    solved in blocks of at most ``_BLOCK`` pole-root pairs, and a converged
+    A step that leaves the bracket is replaced by bisection, and a converged
     root leaves the sweeps.
+
+    The sums go by blocks of consecutive roots (:func:`_root_blocks`).  The
+    poles near a block, its own among them, are summed exactly from the
+    origin offsets.  The far ones are smooth on the block's interval, so
+    their four sums (left of the block and all, of 1/(d_j - E) and
+    1/(d_j - E)^2) are tabulated once at ``_CHEB`` Chebyshev points and read
+    at every sweep by barycentric interpolation.  When every pole is near,
+    as in small arrows, the tables are zero and every sum is exact.  A sweep
+    costs O(m) times the near width plus ``_CHEB``, and the tables
+    O(m * _CHEB) per block; temporaries stay within ``_BLOCK`` elements.
     """
     m = d.size
     if m == 0:
@@ -119,27 +199,26 @@ def _secular_roots(a: float, d: np.ndarray, z2: np.ndarray):
     poles = np.concatenate([[min(a, d[0]) - spread], d, [max(a, d[-1]) + spread]])
     energies = np.empty(m + 1)
     weights = np.empty(m + 1)
-    cols = np.arange(m)
-    rows = max(1, _BLOCK // m)
-    for start in range(0, m + 1, rows):
-        k = np.arange(start, min(start + rows, m + 1))
+    for k, jl, jr, e0, width, table in _root_blocks(d, z2, poles):
+        near, zn, cols = d[jl:jr], z2[jl:jr], np.arange(jl, jr)
         o = np.maximum(k - 1, 0)  # origin pole: the left one, or d_0 for the lowest root
         t_lo, t_hi = poles[k] - d[o], poles[k + 1] - d[o]
         tau = 0.5 * (t_lo + t_hi)
         for sweep in range(_MAX_SWEEPS):
-            inv = np.subtract(d, d[o][:, None])
+            inv = np.subtract(near, d[o][:, None])
             inv -= tau[:, None]
             np.divide(1.0, inv, out=inv)  # 1 / (d_j - E)
             inv2 = inv * inv
-            # poles j < k lie left of root k: all of them below the block's
-            # first active root, none from its last one up
-            lo, hi = k[0], k[-1]
+            # near poles j < k lie left of root k: all of them below the
+            # block's first active root, none from its last one up
+            lo, hi = k[0] - jl, k[-1] - jl
             left = np.where(cols[lo:hi] < k[:, None], 1.0, 0.0)
-            r_left = inv[:, :lo] @ z2[:lo] + (inv[:, lo:hi] * left) @ z2[lo:hi]
-            psi = inv2[:, :lo] @ z2[:lo] + (inv2[:, lo:hi] * left) @ z2[lo:hi]
-            r = inv @ z2
+            far = _interpolate(table, ((d[o] - e0) + tau) * (2.0 / width) - 1.0)
+            r_left = inv[:, :lo] @ zn[:lo] + (inv[:, lo:hi] * left) @ zn[lo:hi] + far[:, 0]
+            psi = inv2[:, :lo] @ zn[:lo] + (inv2[:, lo:hi] * left) @ zn[lo:hi] + far[:, 1]
+            r = inv @ zn + far[:, 2]
             f = (d[o] - a) + tau + r
-            fp = 1.0 + inv2 @ z2
+            fp = 1.0 + inv2 @ zn + far[:, 3]
             # rounding bound of f; r - 2 r_left is sum_j |z2_j / (d_j - E)|
             noise = 8.0 * _EPS * (np.abs(d[o] - a) + np.abs(tau) + r - 2.0 * r_left)
             if sweep == 0:

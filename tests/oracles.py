@@ -5,7 +5,9 @@ independent of the adaptive resolvent and the Newton path in
 ``oscbath.selfenergy`` so the two can cross-check each other; and a dense
 eigendecomposition of the finite bath's arrow Hamiltonian, independent of
 the package's secular-equation solver, with the energy-drift check that
-needs its full eigenvectors.
+needs its full eigenvectors; and the secular-equation solver that sums over
+every pole for every root, against which the package's tabulated far sums
+are checked.
 """
 
 import math
@@ -14,7 +16,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 import oscbath as ob
-from oscbath.quadrature import gauss_panels, graded_boundaries
+from oscbath.errors import EigensolveFailure
+from oscbath.oracle import _EPS, _MAX_SWEEPS
+from oscbath.quadrature import _BLOCK, gauss_panels, graded_boundaries
 
 
 def _alpha_second_fixed(model, z: complex, quad_cfg) -> complex:
@@ -104,3 +108,94 @@ def energy_drift(bath, coefficients, tgrid) -> float:
     for t in np.asarray(tgrid, dtype=float):
         worst = max(worst, abs(energy(vecs @ (np.exp(-1j * vals * t) * a0)) - e_ref))
     return worst / abs(e_ref)
+
+
+def quadratic_secular_roots(a: float, d: np.ndarray, z2: np.ndarray):
+    """Roots E of f(E) = E - a + sum_j z2_j / (d_j - E) and 1 / f'(E) at each,
+    with every sum over all m poles: O(m^2) work per sweep.
+
+    The reference for ``oscbath.oracle._secular_roots``, which runs the same
+    iteration but reads the sums over poles far from a block of roots from
+    Chebyshev tables.
+
+    ``d`` ascends strictly and every ``z2`` is positive, so f rises through
+    one root in each gap of (lo, d_0, ..., d_{m-1}, hi), where lo and hi lie
+    beyond the Weyl bounds of the spectrum.  Each root is held as an offset
+    tau from its origin, the nearer pole of its gap (the one real pole for
+    the end roots), so every difference d_j - E = (d_j - d_o) - tau keeps
+    its relative accuracy.  A step solves the two-pole rational model
+    c + S / (dl - eta) + T / (dr - eta) of f through the gap's poles that
+    matches f and f' at the current point, as in LAPACK's dlaed4: S and T
+    carry the slopes of the poles on either side, and the unit slope of
+    E - a goes with the farther pole (the virtual pole lo or hi at the ends).
+    A step that leaves the bracket is replaced by bisection.  The roots are
+    solved in blocks of at most ``_BLOCK`` pole-root pairs, and a converged
+    root leaves the sweeps.
+    """
+    m = d.size
+    if m == 0:
+        return np.array([a]), np.array([1.0])
+    spread = 2.0 * math.sqrt(float(z2.sum()))
+    poles = np.concatenate([[min(a, d[0]) - spread], d, [max(a, d[-1]) + spread]])
+    energies = np.empty(m + 1)
+    weights = np.empty(m + 1)
+    cols = np.arange(m)
+    rows = max(1, _BLOCK // m)
+    for start in range(0, m + 1, rows):
+        k = np.arange(start, min(start + rows, m + 1))
+        o = np.maximum(k - 1, 0)  # origin pole: the left one, or d_0 for the lowest root
+        t_lo, t_hi = poles[k] - d[o], poles[k + 1] - d[o]
+        tau = 0.5 * (t_lo + t_hi)
+        for sweep in range(_MAX_SWEEPS):
+            inv = np.subtract(d, d[o][:, None])
+            inv -= tau[:, None]
+            np.divide(1.0, inv, out=inv)  # 1 / (d_j - E)
+            inv2 = inv * inv
+            # poles j < k lie left of root k: all of them below the block's
+            # first active root, none from its last one up
+            lo, hi = k[0], k[-1]
+            left = np.where(cols[lo:hi] < k[:, None], 1.0, 0.0)
+            r_left = inv[:, :lo] @ z2[:lo] + (inv[:, lo:hi] * left) @ z2[lo:hi]
+            psi = inv2[:, :lo] @ z2[:lo] + (inv2[:, lo:hi] * left) @ z2[lo:hi]
+            r = inv @ z2
+            f = (d[o] - a) + tau + r
+            fp = 1.0 + inv2 @ z2
+            # rounding bound of f; r - 2 r_left is sum_j |z2_j / (d_j - E)|
+            noise = 8.0 * _EPS * (np.abs(d[o] - a) + np.abs(tau) + r - 2.0 * r_left)
+            if sweep == 0:
+                # the sign of f at the midpoint names the nearer pole of an inner gap
+                right = (k > 0) & (k < m) & (f < 0.0)
+                shift = np.where(right, d[np.minimum(k, m - 1)] - d[o], 0.0)
+                o = np.where(right, k, o)
+                tau, t_lo, t_hi = tau - shift, t_lo - shift, t_hi - shift
+            t_lo = np.where(f < 0.0, tau, t_lo)
+            t_hi = np.where(f > 0.0, tau, t_hi)
+            dl = (poles[k] - d[o]) - tau
+            dr = (poles[k + 1] - d[o]) - tau
+            origin_left = o < k
+            s_slope = psi + ~origin_left
+            t_slope = fp - 1.0 - psi + origin_left
+            c = f - dl * s_slope - dr * t_slope
+            big_a = (dl + dr) * f - dl * dr * fp
+            b = dl * dr * f
+            disc = np.sqrt(np.abs(big_a * big_a - 4.0 * c * b))
+            # the model's root in (dl, dr) is (A - sqrt(D)) / 2c, taken in the
+            # form without cancellation; both denominators vanish only if c = 0
+            # with A <= 0, which the bracket then replaces by bisection
+            num = np.where(big_a > 0.0, 2.0 * b, big_a - disc)
+            den = np.where(big_a > 0.0, big_a + disc, 2.0 * c)
+            step = num / np.where(den != 0.0, den, 1.0)
+            new = tau + step
+            inside = (den != 0.0) & (t_lo < new) & (new < t_hi)
+            new = np.where(inside, new, 0.5 * (t_lo + t_hi))
+            done = (np.abs(f) <= noise) | (new == tau)
+            energies[k[done]] = d[o[done]] + tau[done]
+            weights[k[done]] = 1.0 / fp[done]
+            live = ~done
+            k, o, tau, t_lo, t_hi = k[live], o[live], new[live], t_lo[live], t_hi[live]
+            if k.size == 0:
+                break
+        else:
+            raise EigensolveFailure(
+                f"{k.size} secular roots did not converge in their brackets")
+    return energies, weights

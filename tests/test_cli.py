@@ -8,6 +8,7 @@ import sys
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oscbath.cli as cli
@@ -403,6 +404,34 @@ def test_csv_outputs_are_bit_stable(cfg_path, tmp_path, capsys):
     assert (out_a / "survival.csv").read_bytes() == (out_b / "survival.csv").read_bytes()
     assert (out_a / "pole.json").read_bytes() == (out_b / "pole.json").read_bytes()
     capsys.readouterr()
+
+
+def _fmt(x) -> str:
+    # the per-value formatting that write_csv's per-file format string replaced
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
+
+
+def test_write_csv_matches_per_value_formatting(tmp_path):
+    rng = np.random.default_rng(3)
+    specials = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, 0.1, 1.0, -2.5]
+    rows = [("spectral", 7, np.int64(-12), np.float64(1.0 / 3.0), -0.0, math.inf)]
+    for i in range(200):
+        rows.append((f"route{i % 3}", int(rng.integers(-10**12, 10**12)),
+                     np.int32(rng.integers(-1000, 1000)), np.float64(rng.normal() * 10.0 ** i),
+                     float(specials[i % len(specials)]), np.float64(specials[-1 - i % 10])))
+    rows.append(["pole_background", True, np.uint64(2**63), np.float64(math.nan), 1.0, -math.inf])
+    header = ("route", "n", "k", "x", "y", "z")
+    path = tmp_path / "t.csv"
+    cli.write_csv(path, header, rows)
+    expected = ",".join(header) + "\n" + "".join(",".join(_fmt(v) for v in row) + "\n"
+                                                 for row in rows)
+    assert path.read_bytes() == expected.encode()
+    cli.write_csv(path, header, [])
+    assert path.read_bytes() == b"route,n,k,x,y,z\n"
 
 
 @pytest.mark.parametrize("command, override", [

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import oscbath as ob
-from oracles import dense_arrow, dense_eigensystem, energy_drift
+from oracles import dense_arrow, dense_eigensystem, energy_drift, quadratic_secular_roots
+from oscbath import oracle
 from oscbath.oracle import arrow_eigensystem
 
 
@@ -270,3 +271,70 @@ def test_secular_solver_matches_mpmath(seed):
     assert np.max(np.abs(np.add.reduceat(overlaps, starts)
                          - np.add.reduceat(ref_o, starts))) <= 1e-13
     assert abs(overlaps.sum() - 1.0) <= 1e-13
+
+
+def _assert_matches_reference(corner, diagonal, border):
+    # the tolerances of _assert_matches_dense, against the solver that sums
+    # every pole for every root
+    energies, overlaps = arrow_eigensystem(corner, diagonal, border)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_secular_roots", quadratic_secular_roots)
+        ref_e, ref_o = arrow_eigensystem(corner, diagonal, border)
+    assert np.max(np.abs(energies - ref_e)) <= 1e-13 * np.max(np.abs(diagonal))
+    assert np.max(np.abs(overlaps - ref_o)) <= 1e-12
+    assert abs(overlaps.sum() - 1.0) <= 1e-13
+
+
+_REFERENCE = ob.build_model(1.0, 0.1, 1.0, 5.0)
+_FRACTIONAL = ob.build_model(1.0, 0.2, 0.36, 5.0)
+# lambda at 0.99 of the positivity limit sqrt(omega / (cutoff * Gamma(1/2) / 2))
+_NEAR_LIMIT = ob.build_model(1.0, 0.99 / math.sqrt(2.5 * math.sqrt(math.pi)), 1.0, 5.0)
+
+
+@pytest.mark.parametrize("model, N, scheme", [
+    (_REFERENCE, 4000, ob.Scheme.UNIFORM),
+    (_REFERENCE, 2000, ob.Scheme.GAUSS),
+    (_REFERENCE, 4000, ob.Scheme.GAUSS),
+    (_FRACTIONAL, 4000, ob.Scheme.UNIFORM),
+    (_FRACTIONAL, 2000, ob.Scheme.GAUSS),
+    (_NEAR_LIMIT, 4000, ob.Scheme.UNIFORM),
+    (_NEAR_LIMIT, 4000, ob.Scheme.GAUSS),
+])
+def test_far_tables_match_full_sums(model, N, scheme):
+    # largest differences measured: energies 2.2e-17 of the scale, overlaps
+    # 1.9e-16 at the first two models and 7.1e-15 at 0.99 of the limit
+    bath = ob.discretize(model, N, 40.0, scheme)
+    _assert_matches_reference(model.omega_bare, bath.frequencies, bath.couplings)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_far_tables_match_full_sums_on_clustered_modes(seed):
+    # sorted beta-distributed modes crowd at one or both ends, so the spacing
+    # varies by orders of magnitude and a block's near poles must be chosen
+    # by distance: near sets of a fixed index width fail to converge here.
+    # Largest differences measured: energies 1.4e-18 of the scale, overlaps
+    # 2.2e-16
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(300, 1501))
+    freqs = 10.0 * np.sort(rng.beta(*rng.uniform(0.1, 0.6, 2), m))
+    couplings = rng.uniform(0.2, 1.0, m) * math.sqrt(0.2 / m)
+    _assert_matches_reference(float(rng.uniform(0.0, 10.0)), freqs, couplings)
+
+
+@pytest.mark.parametrize("q", [-oracle._SEPARATION, 1.0 + oracle._SEPARATION])
+def test_far_table_interpolation_at_the_separation(q):
+    # a pole at the closest distance a far pole may have, on either side of a
+    # block of width 0.01: the truncation bound of the table is 1.1e-16 of
+    # the largest value, the rest is rounding
+    width = 0.01
+    u = 0.5 * width * (1.0 + oracle._NODES)
+    table = oracle._far_table(np.array([q * width]), np.array([1.0]), u)
+    points = np.linspace(0.0, width, 20001)
+    got = oracle._interpolate(table, points * (2.0 / width) - 1.0)
+    exact = 1.0 / (q * width - points)
+    assert np.max(np.abs(got[:, 0] - exact)) <= 3e-15 * np.max(np.abs(exact))
+    assert np.max(np.abs(got[:, 1] - exact**2)) <= 3e-15 * np.max(exact**2)
+    # a point on a node reads that node's row, with no division by zero
+    assert np.array_equal(oracle._interpolate(table, oracle._NODES[[0, 7, -1]]),
+                          table[[0, 7, -1]])
+
