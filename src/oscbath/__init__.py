@@ -8,10 +8,7 @@ and the reduced density matrix with its rate-equation limits.
 from .density import (
     DensityMatrix2,
     OscillatorState,
-    equilibrium,
     lindblad_solution,
-    lindblad_trajectory,
-    pauli_residual,
     reduced_density,
 )
 from .errors import (
@@ -27,7 +24,6 @@ from .errors import (
     NegativeFrequency,
     NoConvergence,
     NonPositiveParameter,
-    NotNormalized,
     OnCut,
     OrderingViolated,
     OscBathError,
@@ -41,7 +37,6 @@ from .model import (
     ModelParams,
     QuadConfig,
     build_model,
-    spectral_moment,
     spectral_weight,
     spectral_weight_analytic,
 )
@@ -59,10 +54,9 @@ from .selfenergy import (
 from .survival import (
     DEFAULT_RAY_ANGLE,
     AmplitudeSeries,
+    Decay,
     PhaseReport,
     ZenoFit,
-    amplitude_pole_background,
-    amplitude_spectral,
     crossover_times,
     exponential_rate_fit,
     hybrid_time_grid,
@@ -76,20 +70,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ModelParams", "QuadConfig", "build_model", "spectral_weight",
-    "spectral_weight_analytic", "spectral_moment",
+    "spectral_weight_analytic",
     "Sheet", "Side", "SheetPoint", "Resonance", "alpha", "alpha_boundary",
     "perturbative_resonance", "find_resonance",
-    "AmplitudeSeries", "PhaseReport", "ZenoFit", "hybrid_time_grid",
-    "amplitude_spectral", "amplitude_pole_background", "survival_probability",
+    "Decay", "AmplitudeSeries", "PhaseReport", "ZenoFit", "hybrid_time_grid",
+    "survival_probability",
     "zeno_slope", "khalfin_exponent", "crossover_times", "sum_rule",
     "exponential_rate_fit", "DEFAULT_RAY_ANGLE",
     "Scheme", "DiscreteBath", "discretize", "oracle_amplitude", "recurrence_time",
     "OscillatorState", "DensityMatrix2", "reduced_density", "lindblad_solution",
-    "lindblad_trajectory", "pauli_residual", "equilibrium",
     "OscBathError", "NonPositiveParameter", "PositivityViolated",
     "NegativeFrequency", "BranchCutHit", "OnCut", "QuadratureFailure",
     "NoConvergence", "PoleInUpperHalfPlane", "PoleOnRay", "GridTooCoarse",
     "WindowBeforeCrossover", "CrossoverNotBracketed", "InvalidDiscretization",
-    "EigensolveFailure", "NotNormalized", "AmplitudeOutOfRange", "ConfigError",
+    "EigensolveFailure", "AmplitudeOutOfRange", "ConfigError",
     "DualMethodMismatch", "OrderingViolated", "DensityInvariantViolated",
 ]

@@ -35,13 +35,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import PoleOnRay, QuadratureFailure
-from .model import ModelParams, QuadConfig, spectral_weight, spectral_weight_analytic
-from .quadrature import (_BLOCK, CauchyRule, _brentq, _leggauss, gauss_panels,
-                         graded_boundaries, pv_integral_many)
+from .model import ModelParams, spectral_weight, spectral_weight_analytic
+from .quadrature import (_BLOCK, _brentq, _leggauss, gauss_panels, graded_boundaries,
+                         pv_integral_many)
+
+if TYPE_CHECKING:
+    from .survival import Decay
 
 DEFAULT_RAY_ANGLE = math.pi / 5.0
 
@@ -81,16 +85,14 @@ class AxisProfile:
         return self.eta / self.xprime
 
 
-def axis_profile(model: ModelParams, quad_cfg: QuadConfig,
-                 rule: CauchyRule | None = None) -> AxisProfile:
+def axis_profile(decay: Decay) -> AxisProfile:
     """omega0 by Brent's method on X, then X' = 1 + lam^2 Re R_2 and
     X'' = -2 lam^2 Re R_3 at omega0 from the Cauchy rule."""
-    rule = rule or CauchyRule(model)
-    T = quad_cfg.truncation(model)
+    model, rule, T = decay.model, decay.rule, decay.truncation
     lam2 = model.lam**2
 
     def x_of(w):
-        return w - model.omega_bare - lam2 * pv_integral_many(model, w, rule)
+        return w - model.omega_bare - lam2 * pv_integral_many(rule, w)
 
     lo = 1e-6 * model.cutoff
     hi = T - 1e-6 * model.cutoff
@@ -315,20 +317,20 @@ def _panels(bounds, weights, xi, n: int):
     return centres, halfwidths, moments
 
 
-def build_spectral_table(model: ModelParams, quad_cfg: QuadConfig) -> SpectralTable:
+def build_spectral_table(decay: Decay) -> SpectralTable:
     """Build the real-axis weight table, on panels that resolve the weight.
 
     The same table serves every time.  A decoupled model is one node at
     omega_bare with weight 1, a panel of zero width, exact at every time.
     """
+    model = decay.model
     if model.lam == 0.0:
         one = np.array([1.0])
         return SpectralTable(nodes=np.array([model.omega_bare]), weights=one,
                              centres=np.array([model.omega_bare]), halfwidths=np.zeros(1),
                              moments=one[:, None])
-    rule = CauchyRule(model)
-    T = quad_cfg.truncation(model)
-    prof = axis_profile(model, quad_cfg, rule)
+    T = decay.truncation
+    prof = axis_profile(decay)
     om0, halfw = prof.omega0, prof.halfwidth
     coarse = model.cutoff / 2.5
     inner = halfw < _INNER_CUT
@@ -345,7 +347,7 @@ def build_spectral_table(model: ModelParams, quad_cfg: QuadConfig) -> SpectralTa
     lam2 = model.lam**2
 
     def outer_weights(nodes, wq):
-        pv = pv_integral_many(model, nodes, rule)
+        pv = pv_integral_many(decay.rule, nodes)
         g2 = spectral_weight(model, nodes)
         x_re = nodes - model.omega_bare - lam2 * pv
         dens = lam2 * g2 / (x_re**2 + (math.pi * lam2 * g2) ** 2)
@@ -431,7 +433,7 @@ def _ray_truncation(model: ModelParams, theta: float) -> float:
     return max(S, 3.0 * cut)
 
 
-def build_ray_table(model: ModelParams, z0: complex, t_max: float,
+def build_ray_table(decay: Decay, z0: complex, t_max: float,
                     theta: float = DEFAULT_RAY_ANGLE) -> RayTable:
     """Build the rotated-ray table for the non-pole part of the amplitude.
 
@@ -440,6 +442,7 @@ def build_ray_table(model: ModelParams, z0: complex, t_max: float,
     pole (theta > |arg z0|) so that the pole term is the extracted residue;
     an angle within 0.02 of the pole direction raises :class:`PoleOnRay`.
     """
+    model = decay.model
     if model.lam == 0.0:
         raise ValueError("ray table is undefined for a decoupled oscillator")
     if not (0.0 < theta < 0.25 * math.pi):
@@ -475,7 +478,7 @@ def build_ray_table(model: ModelParams, z0: complex, t_max: float,
     phase = complex(math.cos(theta), -math.sin(theta))
     z = s_nodes * phase
     lam2 = model.lam**2
-    alpha_one = z - model.omega_bare - lam2 * CauchyRule(model).resolvent_on_ray(s_nodes, theta)
+    alpha_one = z - model.omega_bare - lam2 * decay.rule.resolvent_on_ray(s_nodes, theta)
     g2z = spectral_weight_analytic(model, z)
     alpha_two = alpha_one + 2j * math.pi * lam2 * g2z
     values = wq * lam2 * g2z / (alpha_one * alpha_two) * phase

@@ -20,12 +20,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, survival
+from . import __version__
 from .density import OscillatorState, lindblad_solution, reduced_density
 from .errors import (
     ConfigError,
@@ -39,14 +39,13 @@ from .errors import (
     PoleInUpperHalfPlane,
     PositivityViolated,
 )
-from .model import ModelParams, QuadConfig, build_model
+from .model import QuadConfig, build_model
 from .oracle import Scheme, discretize, oracle_amplitude, recurrence_time
 from .selfenergy import Resonance, find_resonance, perturbative_resonance
 from .survival import (
     DEFAULT_RAY_ANGLE,
+    Decay,
     PhaseReport,
-    amplitude_pole_background,
-    amplitude_spectral,
     crossover_times,
     exponential_rate_fit,
     hybrid_time_grid,
@@ -133,17 +132,17 @@ class RunConfig:
     def __getitem__(self, key):
         return self.values[key]
 
-    @property
-    def model(self) -> ModelParams:
-        return build_model(self["omega"], self["lambda"], self["exponent"],
-                           self["cutoff"], self["prefactor"])
-
-    @property
-    def quad(self) -> QuadConfig:
+    def decay(self, exponent: float | None = None) -> Decay:
+        """The run's model, or the one with ``exponent`` in place of the
+        config's, with its truncation."""
+        model = build_model(self["omega"], self["lambda"],
+                            self["exponent"] if exponent is None else exponent,
+                            self["cutoff"], self["prefactor"])
         try:
-            return QuadConfig(upper_truncation_multiple=self["truncation_multiple"])
+            quad = QuadConfig(upper_truncation_multiple=self["truncation_multiple"])
         except ValueError as exc:
             raise ConfigError(f"invalid quadrature settings: {exc}") from exc
+        return Decay(model, quad)
 
 
 def parse_config_file(path: Path) -> dict:
@@ -224,9 +223,8 @@ def write_json(path: Path, payload) -> str:
     return text
 
 
-def _resonance(cfg: RunConfig, model: ModelParams) -> Resonance:
-    return find_resonance(model, cfg.quad, tol=cfg["newton_tol"],
-                          max_iter=cfg["newton_max_iter"])
+def _resonance(cfg: RunConfig, decay: Decay) -> Resonance:
+    return find_resonance(decay, tol=cfg["newton_tol"], max_iter=cfg["newton_max_iter"])
 
 
 def _time_grid(cfg: RunConfig, gamma: float):
@@ -240,13 +238,14 @@ def _time_grid(cfg: RunConfig, gamma: float):
 
 
 def cmd_pole(cfg: RunConfig, out: Path) -> dict:
-    model = cfg.model
+    decay = cfg.decay()
+    model = decay.model
     if model.lam == 0.0:  # a decoupled oscillator keeps its bare frequency and unit residue
         res = Resonance(z0=complex(model.omega_bare), alpha_prime_at_pole=1.0 + 0.0j,
-                        perturbative_z0=perturbative_resonance(model),
+                        perturbative_z0=perturbative_resonance(decay),
                         newton_iterations=0, residual=0.0)
     else:
-        res = _resonance(cfg, model)
+        res = _resonance(cfg, decay)
     pert = res.perturbative_z0
     report = {
         "omega_bare": model.omega_bare,
@@ -269,18 +268,17 @@ def cmd_pole(cfg: RunConfig, out: Path) -> dict:
 
 
 def cmd_survival(cfg: RunConfig, out: Path) -> dict:
-    model = cfg.model
-    quad = cfg.quad
-    res = _resonance(cfg, model)
+    decay = cfg.decay()
+    res = _resonance(cfg, decay)
     gamma = res.gamma
     grid = _time_grid(cfg, gamma)
-    pb = amplitude_pole_background(model, res, grid, theta=cfg["ray_theta"])
+    pb = decay.amplitude_pole_background(res, grid, theta=cfg["ray_theta"])
 
     spectral_cap = cfg["spectral_t_max_gamma"] / gamma
     sp_grid = grid[grid <= spectral_cap]
-    sp = amplitude_spectral(model, sp_grid, quad)
+    sp = decay.amplitude_spectral(sp_grid)
     dual_sup = float(np.max(np.abs(sp.delta0 - pb.delta0[: sp_grid.size])))
-    zeno = zeno_slope(sp)
+    zeno = zeno_slope(decay)
 
     gamma_fit = exponential_rate_fit(pb, gamma, (cfg["gamma_fit_lo"], cfg["gamma_fit_hi"]))
     khalfin = None
@@ -293,29 +291,18 @@ def cmd_survival(cfg: RunConfig, out: Path) -> dict:
         t_zeno = t_khalfin = None
 
     rows = []
-    P, G = survival_probability(sp)
-    for t, d, p, g in zip(sp_grid, sp.delta0, P, G):
-        rows.append((t, d.real, d.imag, p, g, "spectral"))
-    P, G = survival_probability(pb)
-    for t, d, p, g in zip(grid, pb.delta0, P, G):
-        rows.append((t, d.real, d.imag, p, g, "pole_background"))
+    for series, method in ((sp, "spectral"), (pb, "pole_background")):
+        P, G = survival_probability(series)
+        rows += [(t, d.real, d.imag, p, g, method)
+                 for t, d, p, g in zip(series.times, series.delta0, P, G)]
     write_csv(out / "survival.csv",
               ("t", "re_delta0", "im_delta0", "P", "Gamma", "method"), rows)
 
     phases = PhaseReport(gamma_fit=gamma_fit, zeno_slope=zeno.slope,
                          zeno_quadratic=zeno.quadratic, khalfin_exponent=khalfin,
                          t_zeno=t_zeno, t_khalfin=t_khalfin)
-    report = {
-        "gamma": gamma,
-        "gamma_fit": phases.gamma_fit,
-        "zeno_slope": phases.zeno_slope,
-        "zeno_quadratic": phases.zeno_quadratic,
-        "khalfin_exponent": phases.khalfin_exponent,
-        "t_zeno": phases.t_zeno,
-        "t_khalfin": phases.t_khalfin,
-        "dual_method_sup": dual_sup,
-        "dual_tol": cfg["dual_tol"],
-    }
+    report = {"gamma": gamma, **asdict(phases), "dual_method_sup": dual_sup,
+              "dual_tol": cfg["dual_tol"]}
     print(write_json(out / "survival.json", report))
     if not dual_sup <= cfg["dual_tol"]:  # a NaN sup fails too
         raise DualMethodMismatch(
@@ -326,14 +313,14 @@ def cmd_survival(cfg: RunConfig, out: Path) -> dict:
 
 
 def cmd_density(cfg: RunConfig, out: Path) -> dict:
-    model = cfg.model
-    res = _resonance(cfg, model)
+    decay = cfg.decay()
+    res = _resonance(cfg, decay)
     gamma = res.gamma
-    omega_l = res.omega0 if cfg["lindblad_frequency"] == "shifted" else model.omega_bare
+    omega_l = res.omega0 if cfg["lindblad_frequency"] == "shifted" else decay.model.omega_bare
     state = OscillatorState(c11=cfg["c11"], c10=complex(cfg["re_c10"], cfg["im_c10"]))
     t_max = cfg["density_t_max_gamma"] / gamma
     grid = np.linspace(0.0, t_max, cfg["n_points"])
-    pb = amplitude_pole_background(model, res, grid, theta=cfg["ray_theta"])
+    pb = decay.amplitude_pole_background(res, grid, theta=cfg["ray_theta"])
 
     pos_tol = cfg["density_pos_tol"]
     rows = []
@@ -366,20 +353,17 @@ def cmd_density(cfg: RunConfig, out: Path) -> dict:
 
 
 def cmd_oracle(cfg: RunConfig, out: Path) -> dict:
-    model = cfg.model
-    quad = cfg.quad
-    omega_max = cfg["oracle_omega_max"]
-    if omega_max is None:
-        omega_max = quad.truncation(model)
+    decay = cfg.decay()
+    omega_max = cfg["oracle_omega_max"] or decay.truncation
     scheme = Scheme.UNIFORM if cfg["oracle_scheme"] == "uniform" else Scheme.GAUSS
 
-    baths = [discretize(model, N, omega_max, scheme) for N in cfg["oracle_n"]]
+    baths = [discretize(decay.model, N, omega_max, scheme) for N in cfg["oracle_n"]]
     t_recs = [recurrence_time(bath) for bath in baths]
     windows = [cfg["oracle_window_fraction"] * t_rec for t_rec in t_recs]
     grids = [np.linspace(0.0, window, min(cfg["n_points"], 320)) for window in windows]
     p_discs = [np.abs(oracle_amplitude(bath, grid).delta0) ** 2
                for bath, grid in zip(baths, grids)]
-    table = survival.build_spectral_table(model, quad)  # one table serves every window
+    table = decay.spectral_table  # one table serves every window
 
     rows = []
     summary = []
@@ -410,19 +394,15 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> dict:
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> dict:
-    quad = cfg.quad
     rows = []
     for n in cfg["exponents"]:
-        model = build_model(cfg["omega"], cfg["lambda"], n, cfg["cutoff"], cfg["prefactor"])
-        pert = perturbative_resonance(model, quad)
+        decay = cfg.decay(exponent=n)
+        model = decay.model
+        pert = perturbative_resonance(decay)
         gamma_gr = -2.0 * pert.imag + 0.0  # + 0.0 writes the decoupled rate -0.0 as 0.0
         closed = (2.0 * math.pi * model.lam**2 * model.prefactor
                   * model.omega_bare**n * math.exp(-((model.omega_bare / model.cutoff) ** 2)))
-        if model.lam > 0:
-            res = _resonance(cfg, model)
-            gamma_pole = res.gamma
-        else:
-            gamma_pole = 0.0
+        gamma_pole = _resonance(cfg, decay).gamma if model.lam > 0 else 0.0
         rows.append((n, gamma_gr, closed, gamma_pole))
     write_csv(out / "sweep.csv",
               ("exponent", "gamma_golden_rule", "gamma_closed_form", "gamma_pole"), rows)
@@ -431,19 +411,17 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> dict:
         "rates": [{"exponent": r[0], "gamma_golden_rule": r[1],
                    "gamma_closed_form": r[2], "gamma_pole": r[3]} for r in rows],
     }
+    rates = [r[1] for r in rows]
+    ordered = None
     if cfg["omega"] < 1.0 and len(rows) > 1:
-        rates = [r[1] for r in rows]
         ordered = all(a > b for a, b in zip(rates, rates[1:]))
-        report["ordering_decreasing_in_exponent"] = ordered
-        print(write_json(out / "sweep.json", report))
-        if not ordered:
-            raise OrderingViolated(
-                f"decay rates {rates} are not strictly decreasing in the exponent "
-                f"at omega_bare={cfg['omega']} < 1"
-            )
-    else:
-        report["ordering_decreasing_in_exponent"] = None
-        print(write_json(out / "sweep.json", report))
+    report["ordering_decreasing_in_exponent"] = ordered
+    print(write_json(out / "sweep.json", report))
+    if ordered is False:
+        raise OrderingViolated(
+            f"decay rates {rates} are not strictly decreasing in the exponent "
+            f"at omega_bare={cfg['omega']} < 1"
+        )
     return report
 
 

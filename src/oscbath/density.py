@@ -20,16 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmplitudeOutOfRange, GridTooCoarse
+from .errors import AmplitudeOutOfRange
 
 __all__ = [
     "OscillatorState",
     "DensityMatrix2",
     "reduced_density",
     "lindblad_solution",
-    "lindblad_trajectory",
-    "pauli_residual",
-    "equilibrium",
 ]
 
 _BOUND_TOL = 1e-9
@@ -118,41 +115,3 @@ def lindblad_solution(state: OscillatorState, omega0: float, gamma: float,
     rho11 = state.c11 * decay
     rho10 = state.c10 * cmath.exp(-1j * omega0 * t) * np.exp(-0.5 * gamma * t)
     return DensityMatrix2(rho11=rho11, rho00=1.0 - rho11, rho10=rho10, t=t)
-
-
-def lindblad_trajectory(state: OscillatorState, omega0: float, gamma: float,
-                        times) -> list[DensityMatrix2]:
-    return [lindblad_solution(state, omega0, gamma, float(t)) for t in np.asarray(times)]
-
-
-def pauli_residual(trajectory, gamma: float) -> float:
-    """Worst occupation-rate-equation defect along a uniform-grid trajectory.
-
-    Checks d/dt rho_nn = gamma * ((n+1) rho_{n+1,n+1} - n rho_nn) for
-    n in {0, 1} with the two-quantum population identically zero, using
-    4th-order central differences.
-    """
-    traj = list(trajectory)
-    if len(traj) < 5:
-        raise GridTooCoarse("need at least 5 trajectory points for 4th-order differences")
-    t = np.array([d.t for d in traj])
-    h = np.diff(t)
-    if np.max(np.abs(h - h[0])) > 1e-9 * h[0]:
-        raise GridTooCoarse("trajectory grid must be uniform")
-    h = h[0]
-    r11 = np.array([d.rho11 for d in traj])
-    r00 = np.array([d.rho00 for d in traj])
-
-    def d4(f):
-        return (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12.0 * h)
-
-    inner = slice(2, -2)
-    res1 = np.abs(d4(r11) + gamma * r11[inner])
-    res0 = np.abs(d4(r00) - gamma * r11[inner])
-    return float(max(res1.max(), res0.max()))
-
-
-def equilibrium(state: OscillatorState) -> DensityMatrix2:
-    """The late-time state: all population in the vacuum, no coherence."""
-    return DensityMatrix2(rho11=0.0, rho00=state.c00 + state.c11, rho10=0.0,
-                          t=np.inf)

@@ -72,10 +72,6 @@ class EigensolveFailure(OscBathError):
     """The symmetric eigendecomposition did not converge."""
 
 
-class NotNormalized(OscBathError):
-    """An initial state vector is not normalized."""
-
-
 class AmplitudeOutOfRange(OscBathError):
     """A survival amplitude exceeds the unit bound beyond tolerance."""
 

@@ -35,7 +35,6 @@ __all__ = [
     "build_model",
     "spectral_weight",
     "spectral_weight_analytic",
-    "spectral_moment",
 ]
 
 
@@ -179,16 +178,3 @@ def spectral_weight_jet(model: ModelParams, w):
     g2 = model.prefactor * w**n * np.exp(-((w / model.cutoff) ** 2))
     d = n / w - 2.0 * w / k2
     return g2, g2 * d, g2 * (d * d - n / w**2 - 2.0 / k2)
-
-
-def spectral_moment(model: ModelParams, k: int = 0) -> float:
-    """Closed form of int_0^inf w^k g2(w) dw.
-
-    Equals prefactor * cutoff**(n+k+1) * Gamma((n+k+1)/2) / 2 for the shipped
-    family; used by the short-time (quadratic) decay coefficient and by the
-    bath-discretization checks.
-    """
-    s = model.exponent + k + 1.0
-    if s <= 0:
-        raise ValueError("moment does not converge")
-    return 0.5 * model.prefactor * model.cutoff**s * math.gamma(s / 2.0)

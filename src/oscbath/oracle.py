@@ -295,7 +295,7 @@ def oracle_amplitude(bath: DiscreteBath, tgrid) -> AmplitudeSeries:
     t = np.asarray(tgrid, dtype=float)
     energies, overlaps = bath.eigensystem()
     delta0 = node_sum(t, -1j * energies, overlaps)
-    return AmplitudeSeries(times=t, delta0=delta0, model=bath.model)
+    return AmplitudeSeries(times=t, delta0=delta0)
 
 
 def recurrence_time(bath: DiscreteBath) -> float:

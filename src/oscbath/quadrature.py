@@ -170,13 +170,11 @@ class CauchyRule:
         return turn * (s * sums[:, 0] - sums[:, 1])
 
 
-def pv_integral_many(model: ModelParams, omegas, rule: CauchyRule | None = None):
+def pv_integral_many(rule: CauchyRule, omegas):
     """PV int_0^inf g2(x)/(omega - x) dx at real omegas > 0, vectorized.
 
-    The real part of the Cauchy rule's R_1 on the axis; ``rule`` is the
-    model's rule when the caller has one.
+    The real part of the model's Cauchy rule's R_1 on the axis.
     """
-    rule = rule or CauchyRule(model)
     out = rule.resolvent_on_ray(omegas).real
     if np.isscalar(omegas) or np.ndim(omegas) == 0:
         return float(out[0])

@@ -21,7 +21,9 @@ alpha_II with Im z0 < 0.
 
 Every resolvent integral here, and alpha_II' = 1 + lam^2 int g2/(z - w)^2 dw
 + 2 pi i lam^2 g2'(z), comes from one :class:`~oscbath.quadrature.CauchyRule`
-per model, a fixed Gauss rule on a ray above the cut.
+per model, a fixed Gauss rule on a ray above the cut.  The pole search uses
+the rule of a :class:`~oscbath.survival.Decay`, as the amplitude routes do;
+``alpha`` and ``alpha_boundary`` build one per call.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,6 +45,9 @@ from .model import (
 )
 from .quadrature import adaptive_complex_quad  # noqa: F401 -- a name bench/tracing.py wraps
 from .quadrature import CauchyRule, pv_integral_many
+
+if TYPE_CHECKING:
+    from .survival import Decay
 
 __all__ = [
     "Sheet",
@@ -116,8 +122,8 @@ def _alpha(model: ModelParams, rule: CauchyRule, z: complex, sheet: Sheet,
 def alpha(model: ModelParams, point: SheetPoint, quad_cfg: QuadConfig | None = None) -> complex:
     """Evaluate alpha on the requested sheet at a point off the cut.
 
-    ``quad_cfg`` is accepted for callers that pass one; the Cauchy rule has
-    no settings.
+    ``quad_cfg`` is ignored: the Cauchy rule has no settings.  It is kept
+    because ``bench/checks.py`` passes one positionally.
     """
     z = complex(point.z)
     if z.imag == 0.0 and z.real >= 0.0:
@@ -127,27 +133,26 @@ def alpha(model: ModelParams, point: SheetPoint, quad_cfg: QuadConfig | None = N
 
 def alpha_boundary(model: ModelParams, omega: float, side: Side = Side.PLUS) -> complex:
     """Boundary value alpha_pm(omega) on the cut, omega > 0."""
-    pv = pv_integral_many(model, float(omega))
+    pv = pv_integral_many(CauchyRule(model), float(omega))
     real = omega - model.omega_bare - model.lam**2 * pv
     imag = math.pi * model.lam**2 * spectral_weight(model, float(omega))
     return complex(real, imag if side is Side.PLUS else -imag)
 
 
-def perturbative_resonance(model: ModelParams, quad_cfg: QuadConfig | None = None,
-                           rule: CauchyRule | None = None) -> complex:
+def perturbative_resonance(decay: Decay) -> complex:
     """Second-order pole estimate: omega_bare + shift - i * golden-rule rate / 2.
 
     The real shift is lam^2 PV int g2/(omega_bare - w) dw and the width is
     gamma = 2 pi lam^2 g2(omega_bare).  An oscillator frequency at or above
-    the truncation of ``quad_cfg`` raises :class:`QuadratureFailure`.
+    the truncation of ``decay`` raises :class:`QuadratureFailure`.
     """
-    quad_cfg = quad_cfg or QuadConfig()
+    model = decay.model
     if model.lam == 0.0:
         return complex(model.omega_bare, 0.0)
-    if not model.omega_bare < quad_cfg.truncation(model):
+    if not model.omega_bare < decay.truncation:
         raise QuadratureFailure("could not bracket the resonance position on the real axis; "
                                 "the oscillator frequency may exceed the truncated bath range")
-    shift = model.lam**2 * pv_integral_many(model, model.omega_bare, rule)
+    shift = model.lam**2 * pv_integral_many(decay.rule, model.omega_bare)
     half_width = math.pi * model.lam**2 * spectral_weight(model, model.omega_bare)
     return complex(model.omega_bare + shift, -half_width)
 
@@ -178,8 +183,7 @@ def _muller(f, x0: complex, x1: complex, x2: complex, tol: float, max_iter: int)
     return best[0], abs(best[1]), max_iter
 
 
-def find_resonance(model: ModelParams, quad_cfg: QuadConfig | None = None,
-                   tol: float = 1e-12, max_iter: int = 50) -> Resonance:
+def find_resonance(decay: Decay, tol: float = 1e-12, max_iter: int = 50) -> Resonance:
     """Locate the second-sheet zero of alpha by Newton from the perturbative seed.
 
     Falls back to Muller's method on a small triangle around the seed when
@@ -188,11 +192,11 @@ def find_resonance(model: ModelParams, quad_cfg: QuadConfig | None = None,
     not a decaying resonance (which also covers the non-analytic real-root
     regime excluded by the positivity condition).
     """
-    quad_cfg = quad_cfg or QuadConfig()
+    model = decay.model
     if model.lam <= 0.0:
         raise NoConvergence("find_resonance requires a nonzero coupling")
-    rule = CauchyRule(model)
-    seed = perturbative_resonance(model, quad_cfg, rule)
+    rule = decay.rule
+    seed = perturbative_resonance(decay)
 
     def f(z: complex) -> complex:
         return _alpha(model, rule, z, Sheet.SECOND_II)

@@ -1,12 +1,14 @@
 """Survival amplitude, survival probability, and decay-phase diagnostics.
 
-Two independent routes to the amplitude of the one-quantum state:
+A :class:`Decay` holds one model's Cauchy rule and spectral table, each
+built on first use, and gives two independent routes to the amplitude of
+the one-quantum state:
 
-* ``amplitude_spectral`` integrates the real-axis spectral representation
-  Delta0(t) = int_0^inf w(omega) exp(-i omega t) domega with the weight
-  w = lam^2 g2 / |alpha_plus|^2 (a probability density; its total mass is
-  the sum rule).
-* ``amplitude_pole_background`` extracts the resonance residue
+* ``Decay.amplitude_spectral`` integrates the real-axis spectral
+  representation Delta0(t) = int_0^inf w(omega) exp(-i omega t) domega with
+  the weight w = lam^2 g2 / |alpha_plus|^2 (a probability density; its total
+  mass is the sum rule).
+* ``Decay.amplitude_pole_background`` extracts the resonance residue
   exp(-i z0 t) / alpha'(z0) and evaluates the remainder on a ray rotated
   into the lower half-plane, where the integrand decays for every t >= 0.
 
@@ -16,7 +18,8 @@ whole contour bookkeeping and is enforced in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -25,16 +28,15 @@ from ._tables import (DEFAULT_RAY_ANGLE, RayTable, SpectralTable, build_ray_tabl
                       build_spectral_table)
 from .errors import CrossoverNotBracketed, GridTooCoarse, WindowBeforeCrossover
 from .model import ModelParams, QuadConfig
-from .quadrature import _brentq
+from .quadrature import CauchyRule, _brentq
 from .selfenergy import Resonance
 
 __all__ = [
+    "Decay",
     "AmplitudeSeries",
     "PhaseReport",
     "ZenoFit",
     "hybrid_time_grid",
-    "amplitude_spectral",
-    "amplitude_pole_background",
     "survival_probability",
     "zeno_slope",
     "khalfin_exponent",
@@ -47,15 +49,14 @@ __all__ = [
 
 @dataclass
 class AmplitudeSeries:
-    """Survival amplitude Delta0 on an ascending time grid, with the spectral
-    or ray table it was summed from."""
+    """Survival amplitude Delta0 on an ascending time grid; a pole+background
+    series also keeps its two parts and the ray table of the background."""
 
     times: np.ndarray
     delta0: np.ndarray
-    model: ModelParams | None = None
     pole_term: np.ndarray | None = None
     background: np.ndarray | None = None
-    table: SpectralTable | RayTable | None = field(default=None, repr=False, compare=False)
+    ray: RayTable | None = None
 
 
 @dataclass(frozen=True)
@@ -124,29 +125,42 @@ def hybrid_time_grid(omega_bare: float, gamma: float, t_max: float,
     return grid[grid <= t_max * (1 + 1e-12)]
 
 
-def amplitude_spectral(model: ModelParams, tgrid,
-                       quad_cfg: QuadConfig | None = None) -> AmplitudeSeries:
-    """Survival amplitude from the real-axis spectral integral.
+class Decay:
+    """One model's resolvent: its Cauchy rule and its spectral table.
 
-    The weight is tabulated once on panels that resolve it and integrated
-    against exp(-i omega t) exactly on each panel, at every grid time; the
-    series keeps the table.
+    Keeps the model and the truncation ``quad_cfg.truncation(model)``, and
+    builds the rule and the table once each, on first use, for the resonance
+    search, both amplitude routes, the Zeno numbers and the sum rule.  A run
+    builds one per model; objects share nothing.
     """
-    quad_cfg = quad_cfg or QuadConfig()
-    t = _validated_grid(tgrid)
-    table = build_spectral_table(model, quad_cfg)
-    return AmplitudeSeries(times=t, delta0=table.amplitude(t), model=model, table=table)
 
+    def __init__(self, model: ModelParams, quad_cfg: QuadConfig = QuadConfig()):
+        self.model = model
+        self.truncation = quad_cfg.truncation(model)
 
-def amplitude_pole_background(model: ModelParams, resonance: Resonance, tgrid,
-                              theta: float = DEFAULT_RAY_ANGLE) -> AmplitudeSeries:
-    """Survival amplitude as resonance pole term plus deformed background."""
-    t = _validated_grid(tgrid)
-    table = build_ray_table(model, resonance.z0, t_max=float(t.max()), theta=theta)
-    pole = np.exp(-1j * resonance.z0 * t) / resonance.alpha_prime_at_pole
-    bg = table.background(t)
-    return AmplitudeSeries(times=t, delta0=pole + bg, model=model, pole_term=pole,
-                           background=bg, table=table)
+    @cached_property
+    def rule(self) -> CauchyRule:
+        return CauchyRule(self.model)
+
+    @cached_property
+    def spectral_table(self) -> SpectralTable:
+        """The real-axis weight table; it does not depend on the times."""
+        return build_spectral_table(self)
+
+    def amplitude_spectral(self, tgrid) -> AmplitudeSeries:
+        """Survival amplitude from the real-axis spectral integral."""
+        t = _validated_grid(tgrid)
+        return AmplitudeSeries(times=t, delta0=self.spectral_table.amplitude(t))
+
+    def amplitude_pole_background(self, resonance: Resonance, tgrid,
+                                  theta: float = DEFAULT_RAY_ANGLE) -> AmplitudeSeries:
+        """Survival amplitude as resonance pole term plus deformed background."""
+        t = _validated_grid(tgrid)
+        table = build_ray_table(self, resonance.z0, t_max=float(t.max()), theta=theta)
+        pole = np.exp(-1j * resonance.z0 * t) / resonance.alpha_prime_at_pole
+        bg = table.background(t)
+        return AmplitudeSeries(times=t, delta0=pole + bg, pole_term=pole, background=bg,
+                               ray=table)
 
 
 def survival_probability(series: AmplitudeSeries):
@@ -162,20 +176,18 @@ def survival_probability(series: AmplitudeSeries):
     return P, gamma_t
 
 
-def zeno_slope(series: AmplitudeSeries) -> ZenoFit:
+def zeno_slope(decay: Decay) -> ZenoFit:
     """One-sided dP/dt at t = 0 plus the quadratic coefficient q.
 
-    Both numbers come from the series' spectral table.  The slope is a
+    Both numbers come from the spectral table of ``decay``.  The slope is a
     polynomial elimination of P at the Zeno ladder times (a small
     Vandermonde solve handles the geometric spacing) and vanishes for a
     valid model.  q is the exact t^2 coefficient of |sum w exp(-i x t)|^2,
     S * sum w (x - mu)^2 with S = sum w and mu the weighted mean frequency,
     so P(t) ~ 1 - q t^2 with q = lam^2 * int g2 domega.
     """
-    table = series.table
-    if not isinstance(table, SpectralTable):
-        raise ValueError("the Zeno fit needs a series from amplitude_spectral")
-    ts = _ZENO_LADDER / series.model.omega_bare
+    table = decay.spectral_table
+    ts = _ZENO_LADDER / decay.model.omega_bare
     P = np.abs(table.amplitude(np.concatenate([[0.0], ts]))) ** 2
     tau = ts / ts[-1]
     V = np.column_stack([tau**k for k in range(1, tau.size + 1)])
@@ -257,17 +269,15 @@ def crossover_times(resonance: Resonance, series: AmplitudeSeries,
 
     def excess(tt):
         pole = abs(np.exp(-1j * z0 * tt) / a_prime)
-        return float(abs(series.table.background(np.array([tt]))[0]) - pole)
+        return float(abs(series.ray.background(np.array([tt]))[0]) - pole)
 
     t_khalfin = _brentq(excess, t[i], t[i + 1], xtol=1e-10 * max(t[i + 1], 1.0))
     return float(t_zeno), float(t_khalfin)
 
 
-def sum_rule(model: ModelParams, quad_cfg: QuadConfig | None = None) -> float:
+def sum_rule(model: ModelParams, quad_cfg: QuadConfig = QuadConfig()) -> float:
     """Total mass of the spectral weight; equals 1 by completeness."""
-    quad_cfg = quad_cfg or QuadConfig()
-    table = build_spectral_table(model, quad_cfg)
-    return float(table.weights.sum())
+    return float(Decay(model, quad_cfg).spectral_table.weights.sum())
 
 
 def exponential_rate_fit(series: AmplitudeSeries, gamma: float,

@@ -25,8 +25,13 @@ def m1():
 
 
 @pytest.fixture(scope="session")
-def m1_resonance(m1, quad):
-    return ob.find_resonance(m1, quad, tol=1e-12)
+def m1_decay(m1, quad):
+    return ob.Decay(m1, quad)
+
+
+@pytest.fixture(scope="session")
+def m1_resonance(m1_decay):
+    return ob.find_resonance(m1_decay, tol=1e-12)
 
 
 @pytest.fixture(scope="session")
@@ -36,20 +41,20 @@ def m1_grid(m1_resonance):
 
 
 @pytest.fixture(scope="session")
-def m1_spectral(m1, m1_grid, quad):
-    return ob.amplitude_spectral(m1, m1_grid, quad)
+def m1_spectral(m1_decay, m1_grid):
+    return m1_decay.amplitude_spectral(m1_grid)
 
 
 @pytest.fixture(scope="session")
-def m1_pb(m1, m1_resonance, m1_grid):
-    return ob.amplitude_pole_background(m1, m1_resonance, m1_grid)
+def m1_pb(m1_decay, m1_resonance, m1_grid):
+    return m1_decay.amplitude_pole_background(m1_resonance, m1_grid)
 
 
 @pytest.fixture(scope="session")
-def m1_pb_long(m1, m1_resonance):
+def m1_pb_long(m1_decay, m1_resonance):
     gamma = m1_resonance.gamma
     grid = ob.hybrid_time_grid(1.0, gamma, 200.0 / gamma, 320)
-    return ob.amplitude_pole_background(m1, m1_resonance, grid)
+    return m1_decay.amplitude_pole_background(m1_resonance, grid)
 
 
 @pytest.fixture(scope="session")

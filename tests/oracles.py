@@ -5,9 +5,11 @@ independent of the adaptive resolvent and the Newton path in
 ``oscbath.selfenergy`` so the two can cross-check each other; and a dense
 eigendecomposition of the finite bath's arrow Hamiltonian, independent of
 the package's secular-equation solver, with the energy-drift check that
-needs its full eigenvectors; and the secular-equation solver that sums over
+needs its full eigenvectors; the secular-equation solver that sums over
 every pole for every root, against which the package's tabulated far sums
-are checked.
+are checked; the closed-form moments of the coupling density; and the
+occupation rate-equation residual of a density-matrix trajectory, with the
+late-time equilibrium state.
 """
 
 import math
@@ -16,9 +18,62 @@ import numpy as np
 from scipy.optimize import minimize
 
 import oscbath as ob
-from oscbath.errors import EigensolveFailure
+from oscbath.errors import EigensolveFailure, GridTooCoarse, OscBathError
 from oscbath.oracle import _EPS, _MAX_SWEEPS
 from oscbath.quadrature import _BLOCK, gauss_panels, graded_boundaries
+
+
+class NotNormalized(OscBathError):
+    """An initial state vector is not normalized."""
+
+
+def spectral_moment(model, k: int = 0) -> float:
+    """Closed form of int_0^inf w^k g2(w) dw.
+
+    Equals prefactor * cutoff**(n+k+1) * Gamma((n+k+1)/2) / 2 for the shipped
+    family; used by the short-time (quadratic) decay coefficient and by the
+    bath-discretization checks.
+    """
+    s = model.exponent + k + 1.0
+    if s <= 0:
+        raise ValueError("moment does not converge")
+    return 0.5 * model.prefactor * model.cutoff**s * math.gamma(s / 2.0)
+
+
+def lindblad_trajectory(state, omega0: float, gamma: float, times):
+    return [ob.lindblad_solution(state, omega0, gamma, float(t)) for t in np.asarray(times)]
+
+
+def pauli_residual(trajectory, gamma: float) -> float:
+    """Worst occupation-rate-equation defect along a uniform-grid trajectory.
+
+    Checks d/dt rho_nn = gamma * ((n+1) rho_{n+1,n+1} - n rho_nn) for
+    n in {0, 1} with the two-quantum population identically zero, using
+    4th-order central differences.
+    """
+    traj = list(trajectory)
+    if len(traj) < 5:
+        raise GridTooCoarse("need at least 5 trajectory points for 4th-order differences")
+    t = np.array([d.t for d in traj])
+    h = np.diff(t)
+    if np.max(np.abs(h - h[0])) > 1e-9 * h[0]:
+        raise GridTooCoarse("trajectory grid must be uniform")
+    h = h[0]
+    r11 = np.array([d.rho11 for d in traj])
+    r00 = np.array([d.rho00 for d in traj])
+
+    def d4(f):
+        return (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12.0 * h)
+
+    inner = slice(2, -2)
+    res1 = np.abs(d4(r11) + gamma * r11[inner])
+    res0 = np.abs(d4(r00) - gamma * r11[inner])
+    return float(max(res1.max(), res0.max()))
+
+
+def equilibrium(state):
+    """The late-time state: all population in the vacuum, no coherence."""
+    return ob.DensityMatrix2(rho11=0.0, rho00=state.c00 + state.c11, rho10=0.0, t=np.inf)
 
 
 def _alpha_second_fixed(model, z: complex, quad_cfg) -> complex:
@@ -41,13 +96,12 @@ def _alpha_second_fixed(model, z: complex, quad_cfg) -> complex:
             + 2j * math.pi * model.lam**2 * ob.spectral_weight_analytic(model, z))
 
 
-def grid_refine_resonance(model, quad_cfg=None, half_width: float = 0.05,
+def grid_refine_resonance(model, quad_cfg=ob.QuadConfig(), half_width: float = 0.05,
                           grid: int = 21) -> complex:
     """Derivative-free pole search: |alpha_II| grid scans that zoom onto the
     minimum, then a Nelder-Mead polish.
     """
-    quad_cfg = quad_cfg or ob.QuadConfig()
-    seed = ob.perturbative_resonance(model, quad_cfg)
+    seed = ob.perturbative_resonance(ob.Decay(model, quad_cfg))
 
     def objective(p):
         return abs(_alpha_second_fixed(model, complex(p[0], p[1]), quad_cfg))
@@ -89,10 +143,10 @@ def energy_drift(bath, coefficients, tgrid) -> float:
     """
     c0 = np.asarray(coefficients, dtype=complex)
     if c0.shape != (bath.frequencies.size + 1,):
-        raise ob.NotNormalized("coefficient vector has the wrong length")
+        raise NotNormalized("coefficient vector has the wrong length")
     norm = np.linalg.norm(c0)
     if abs(norm - 1.0) > 1e-10:
-        raise ob.NotNormalized(f"initial state norm {norm} differs from 1")
+        raise NotNormalized(f"initial state norm {norm} differs from 1")
     g, w = bath.couplings, bath.frequencies
 
     def energy(c):
@@ -103,7 +157,7 @@ def energy_drift(bath, coefficients, tgrid) -> float:
     a0 = vecs.T @ c0
     e_ref = energy(c0)
     if e_ref == 0.0:
-        raise ob.NotNormalized("reference energy vanishes; relative drift is undefined")
+        raise NotNormalized("reference energy vanishes; relative drift is undefined")
     worst = 0.0
     for t in np.asarray(tgrid, dtype=float):
         worst = max(worst, abs(energy(vecs @ (np.exp(-1j * vals * t) * a0)) - e_ref))

@@ -14,7 +14,8 @@ import pytest
 
 import oscbath as ob
 from conftest import state_sampler
-from oracles import energy_drift, grid_refine_resonance
+from oracles import (energy_drift, grid_refine_resonance, lindblad_trajectory,
+                     pauli_residual, spectral_moment)
 from oscbath.quadrature import CauchyRule
 
 
@@ -36,7 +37,7 @@ def test_criterion_02_pole_residual_and_oracle(m1, quad):
     poles = {}
     for lam in (0.05, 0.1, 0.2):
         m = ob.build_model(1.0, lam, 1.0, 5.0, 1.0)
-        res = ob.find_resonance(m, quad, tol=1e-12)
+        res = ob.find_resonance(ob.Decay(m, quad), tol=1e-12)
         poles[lam] = res
         direct = ob.alpha(m, ob.SheetPoint(res.z0, ob.Sheet.SECOND_II), quad)
         assert abs(direct) < 1e-12
@@ -65,7 +66,7 @@ def test_criterion_02_perturbative_gap(quad):
     measured = {}
     for lam in (0.05, 0.1, 0.2):
         m = ob.build_model(1.0, lam, 1.0, 5.0, 1.0)
-        res = ob.find_resonance(m, quad, tol=1e-12)
+        res = ob.find_resonance(ob.Decay(m, quad), tol=1e-12)
         measured[lam] = abs(res.z0 - res.perturbative_z0)
     detail = ", ".join(
         f"lam={lam}: gap={gap:.3e} = {gap / lam**4:.1f}*lam^4 (bound 5*lam^4)"
@@ -93,7 +94,8 @@ def test_criterion_02_gap_coefficient(quad):
     assert coeff == pytest.approx(17.3217, abs=1e-4)
     ratios = []
     for lam in (0.1, 0.05, 0.025, 0.0125):
-        res = ob.find_resonance(ob.build_model(1.0, lam, 1.0, 5.0, 1.0), quad, tol=1e-12)
+        m = ob.build_model(1.0, lam, 1.0, 5.0, 1.0)
+        res = ob.find_resonance(ob.Decay(m, quad), tol=1e-12)
         ratios.append(abs(res.z0 - res.perturbative_z0) / lam**4)
     gaps = [r - coeff for r in ratios]
     # the next order is lam^6, so each halving of lam shrinks the gap about 4x
@@ -109,8 +111,9 @@ def test_criterion_03_dual_method(m1, m1_resonance, quad):
     gamma = m1_resonance.gamma
     grid = ob.hybrid_time_grid(1.0, gamma, 10.0 / gamma, 200)
     start = time.perf_counter()
-    spectral = ob.amplitude_spectral(m1, grid, quad)
-    pole_bg = ob.amplitude_pole_background(m1, m1_resonance, grid)
+    decay = ob.Decay(m1, quad)
+    spectral = decay.amplitude_spectral(grid)
+    pole_bg = decay.amplitude_pole_background(m1_resonance, grid)
     sup = float(np.max(np.abs(spectral.delta0 - pole_bg.delta0)))
     elapsed = time.perf_counter() - start
     assert sup < 1e-6
@@ -120,13 +123,14 @@ def test_criterion_03_dual_method(m1, m1_resonance, quad):
 
 def test_criterion_04_oracle_equivalence(m1, quad):
     start = time.perf_counter()
+    decay = ob.Decay(m1, quad)
     devs = []
     for N in (500, 1000, 2000, 4000):
         bath = ob.discretize(m1, N, 40.0, ob.Scheme.UNIFORM)
         window = 0.2 * ob.recurrence_time(bath)
         grid = np.linspace(0.0, window, 240)
         disc = ob.oracle_amplitude(bath, grid)
-        cont = ob.amplitude_spectral(m1, grid, quad)
+        cont = decay.amplitude_spectral(grid)
         devs.append(float(np.max(np.abs(np.abs(disc.delta0) ** 2
                                         - np.abs(cont.delta0) ** 2))))
     elapsed = time.perf_counter() - start
@@ -137,9 +141,9 @@ def test_criterion_04_oracle_equivalence(m1, quad):
         + f" in {elapsed:.0f}s")
 
 
-def test_criterion_05_zeno(m1, m1_spectral):
-    fit = ob.zeno_slope(m1_spectral)
-    q_ref = 0.01 * ob.spectral_moment(m1, 0)
+def test_criterion_05_zeno(m1, m1_decay):
+    fit = ob.zeno_slope(m1_decay)
+    q_ref = 0.01 * spectral_moment(m1, 0)
     assert abs(fit.slope) < 1e-8
     assert abs(fit.quadratic - q_ref) < 0.01 * q_ref
     assert q_ref == pytest.approx(0.125, rel=1e-12)
@@ -162,10 +166,11 @@ def test_criterion_07_khalfin(m1_resonance, m1_pb_long, quad):
     slope1 = ob.khalfin_exponent(m1_pb_long, (80.0 / gamma, 200.0 / gamma))
     assert slope1 == pytest.approx(-4.0, abs=0.2)
     m_supra = ob.build_model(1.0, 0.1, 2.0, 5.0, 1.0)
-    res2 = ob.find_resonance(m_supra, quad, tol=1e-12)
+    supra = ob.Decay(m_supra, quad)
+    res2 = ob.find_resonance(supra, tol=1e-12)
     g2 = res2.gamma
     grid = ob.hybrid_time_grid(1.0, g2, 200.0 / g2, 320)
-    pb2 = ob.amplitude_pole_background(m_supra, res2, grid)
+    pb2 = supra.amplitude_pole_background(res2, grid)
     slope2 = ob.khalfin_exponent(pb2, (80.0 / g2, 200.0 / g2))
     elapsed = time.perf_counter() - start
     assert slope2 == pytest.approx(-6.0, abs=0.3)
@@ -178,7 +183,7 @@ def test_criterion_08_rate_ordering(quad):
     rates = {}
     for n in (0.5, 1.0, 2.0):
         m = ob.build_model(0.5, 0.1, n, 5.0, 1.0)
-        pert = ob.perturbative_resonance(m, quad)
+        pert = ob.perturbative_resonance(ob.Decay(m, quad))
         rates[n] = -2.0 * pert.imag
         closed = 2.0 * math.pi * 0.01 * 0.5**n * math.exp(-0.01)
         assert abs(rates[n] - closed) < 1e-6
@@ -187,11 +192,11 @@ def test_criterion_08_rate_ordering(quad):
         f"n={n}: {g:.6f}" for n, g in sorted(rates.items())))
 
 
-def test_criterion_09_density_matrix(m1, m1_resonance):
+def test_criterion_09_density_matrix(m1_decay, m1_resonance):
     gamma = m1_resonance.gamma
     rng = np.random.default_rng(20260810)
     times = np.sort(rng.uniform(0.0, 20.0 / gamma, 10_000))
-    series = ob.amplitude_pole_background(m1, m1_resonance, times)
+    series = m1_decay.amplitude_pole_background(m1_resonance, times)
     worst_trace = 0.0
     worst_det = 0.0
     for t, amp in zip(times, series.delta0):
@@ -201,8 +206,7 @@ def test_criterion_09_density_matrix(m1, m1_resonance):
         worst_det = min(worst_det, rho.positivity_determinant)
     assert worst_trace < 1e-12
     assert worst_det >= -1e-12
-    final = ob.amplitude_pole_background(m1, m1_resonance,
-                                         np.array([0.0, 20.0 / gamma]))
+    final = m1_decay.amplitude_pole_background(m1_resonance, np.array([0.0, 20.0 / gamma]))
     rho_end = ob.reduced_density(ob.OscillatorState(c11=1.0), final.delta0[1],
                                  20.0 / gamma)
     assert rho_end.rho00 > 0.999
@@ -210,16 +214,16 @@ def test_criterion_09_density_matrix(m1, m1_resonance):
         f"det >= {worst_det:.1e}; rho00(20/gamma) = {rho_end.rho00:.6f}")
 
 
-def test_criterion_10_pauli_lindblad(m1, m1_resonance):
+def test_criterion_10_pauli_lindblad(m1_decay, m1_resonance):
     gamma = m1_resonance.gamma
     state = ob.OscillatorState(c11=0.5, c10=0.5)
     h = 1e-3 / gamma
     times = np.arange(0.0, 2.0 / gamma, h)
-    traj = ob.lindblad_trajectory(state, m1_resonance.omega0, gamma, times)
-    residual = ob.pauli_residual(traj, gamma)
+    traj = lindblad_trajectory(state, m1_resonance.omega0, gamma, times)
+    residual = pauli_residual(traj, gamma)
     assert residual < 1e-8
     grid = np.linspace(0.0, 20.0 / gamma, 1500)
-    pb = ob.amplitude_pole_background(m1, m1_resonance, grid)
+    pb = m1_decay.amplitude_pole_background(m1_resonance, grid)
     sup = 0.0
     for t, d in zip(grid, pb.delta0):
         exact = ob.reduced_density(state, d, t)

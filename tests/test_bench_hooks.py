@@ -3,10 +3,12 @@
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import oscbath._tables as tables
 import oscbath.cli as cli
 import oscbath.survival as survival
+from oscbath.model import QuadConfig
 
 
 def test_tracer_installs_and_restores(monkeypatch):
@@ -22,6 +24,19 @@ def test_tracer_installs_and_restores(monkeypatch):
         tracer.uninstall()
     assert (cli.oracle_amplitude, tables.pv_integral_many,
             tables.SpectralTable.amplitude) == before
+
+
+def _spy(monkeypatch, name):
+    """Record every table that ``survival.<name>`` builds."""
+    built = []
+    build = getattr(survival, name)
+
+    def spy(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(survival, name, spy)
+    return built
 
 
 def _traced_run(monkeypatch, tmp_path, capsys, argv):
@@ -54,16 +69,23 @@ def test_survival_table_is_the_sum_rule_table(monkeypatch, tmp_path, capsys):
     tracer = _traced_run(monkeypatch, tmp_path, capsys, ["survival"])
     cfg = cli.build_runconfig(cli.parse_config_file(
         Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"))
-    built = []
-
-    def spy(*args, **kwargs):
-        built.append(build(*args, **kwargs))
-        return built[-1]
-
-    build = survival.build_spectral_table
-    monkeypatch.setattr(survival, "build_spectral_table", spy)
-    survival.sum_rule(cfg.model, cfg.quad)
+    built = _spy(monkeypatch, "build_spectral_table")
+    survival.sum_rule(cfg.decay().model, QuadConfig(cfg["truncation_multiple"]))
     assert tracer.counts["tables.spectral_nodes"] == built[0].nodes.size
+
+
+# resonance searches, spectral tables and ray tables of each reference run
+@pytest.mark.parametrize("command, searches, spectral, rays", [
+    ("pole", 1, 0, 0), ("survival", 1, 1, 1), ("density", 1, 0, 1), ("sweep", 3, 0, 0)])
+def test_traced_runs_keep_every_layer(monkeypatch, tmp_path, capsys, command, searches,
+                                      spectral, rays):
+    # the solver object calls each layer through the names the tracer wraps
+    built = _spy(monkeypatch, "build_ray_table")
+    tracer = _traced_run(monkeypatch, tmp_path, capsys, [command])
+    assert tracer.counts["selfenergy.find_resonance_calls"] == searches
+    assert tracer.counts.get("tables.spectral_builds", 0) == spectral
+    assert len(built) == rays
+    assert tracer.counts.get("tables.ray_nodes", 0) == sum(t.s_nodes.size for t in built)
 
 
 def test_oracle_builds_one_spectral_table(monkeypatch, tmp_path, capsys):
@@ -91,14 +113,7 @@ def test_survival_pv_points_bounded(monkeypatch, tmp_path, capsys):
     # the table's principal values come from one vectorized call, one point
     # per outer table node; only the axis profile's root search and the
     # perturbative seed add points
-    built = []
-
-    def spy(*args, **kwargs):
-        built.append(build(*args, **kwargs))
-        return built[-1]
-
-    build = survival.build_spectral_table
-    monkeypatch.setattr(survival, "build_spectral_table", spy)
+    built = _spy(monkeypatch, "build_spectral_table")
     tracer = _traced_run(monkeypatch, tmp_path, capsys, ["survival"])
     (table,) = built
     assert table.nodes.size < tracer.counts["quadrature.pv_points"] <= table.nodes.size + 64

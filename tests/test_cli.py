@@ -13,6 +13,7 @@ import pytest
 
 import oscbath.cli as cli
 from oscbath.errors import ConfigError, DensityInvariantViolated
+from oscbath.quadrature import CauchyRule
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -237,8 +238,8 @@ def test_survival_dual_nan_exit_4(cfg_path, tmp_path, monkeypatch, capsys):
         series.delta0[1] = math.nan
         return series
 
-    spectral = cli.amplitude_spectral
-    monkeypatch.setattr(cli, "amplitude_spectral", with_nan)
+    spectral = cli.Decay.amplitude_spectral
+    monkeypatch.setattr(cli.Decay, "amplitude_spectral", with_nan)
     code = run(["survival", "--config", cfg_path, "--out", tmp_path / "out"])
     assert code == 4
     assert json.loads(capsys.readouterr().err)["error"] == "DualMethodMismatch"
@@ -396,6 +397,24 @@ def test_sweep_degenerate_ordering_exit_6(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "OrderingViolated"
 
 
+@pytest.mark.parametrize("command, models", [("pole", 1), ("survival", 1), ("density", 1),
+                                             ("sweep", 3), ("oracle", 1)])
+def test_one_cauchy_rule_per_model(tmp_path, monkeypatch, capsys, command, models):
+    # the resonance search, the spectral table and the ray table of a model
+    # share its rule; the reference sweep runs three exponents
+    built = []
+    init = CauchyRule.__init__
+
+    def counted(self, model):
+        built.append(model)
+        init(self, model)
+
+    monkeypatch.setattr(CauchyRule, "__init__", counted)
+    assert run([command, "--config", CONFIGS / "reference.cfg", "--out", tmp_path]) == 0
+    assert len(built) == len(set(built)) == models
+    capsys.readouterr()
+
+
 def test_csv_outputs_are_bit_stable(cfg_path, tmp_path, capsys):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
@@ -466,6 +485,13 @@ def test_override_validation(cfg_path, tmp_path, capsys, command, override):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert override.partition("=")[0] in err["message"]
+
+
+def test_decoupled_pole_checks_truncation(cfg_path, tmp_path, capsys):
+    # a decoupled run builds its model and truncation as every other run does
+    assert run(["pole", "--config", cfg_path, "--out", tmp_path / "out",
+                "--override", "lambda=0", "--override", "truncation_multiple=100"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
 @pytest.mark.parametrize("key", sorted(cli._SCHEMA) + ["abs_tol", "max_subdivisions", "rel_tol"])

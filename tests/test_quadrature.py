@@ -103,7 +103,7 @@ def mp_alpha_second(model, z: complex) -> complex:
 
 
 def pole(name: str) -> complex:
-    return ob.find_resonance(MODELS[name], QUAD, tol=1e-12).z0
+    return ob.find_resonance(ob.Decay(MODELS[name], QUAD), tol=1e-12).z0
 
 
 NEAR_CUT = [10.0**-k for k in range(3, 9)] + [2e-9, 1e-11]
@@ -206,7 +206,7 @@ POLE_MODELS = {
 @pytest.mark.parametrize("name", POLE_MODELS)
 def test_pole_residual_against_mpmath(name):
     model = ob.ModelParams(*POLE_MODELS[name])
-    z0 = ob.find_resonance(model, QUAD).z0
+    z0 = ob.find_resonance(ob.Decay(model, QUAD)).z0
     assert abs(mp_alpha_second(model, z0)) <= 1e-13
 
 
@@ -215,7 +215,7 @@ def test_alpha_at_the_pole_agrees_with_the_search(name):
     # the public evaluator and the search share the rule, so the pole the
     # search returns passes the 1e-12 residual check made through ob.alpha
     model = ob.ModelParams(*POLE_MODELS[name])
-    res = ob.find_resonance(model, QUAD)
+    res = ob.find_resonance(ob.Decay(model, QUAD))
     assert res.residual < 1e-12
     assert abs(ob.alpha(model, ob.SheetPoint(res.z0, ob.Sheet.SECOND_II), QUAD)) < 1e-12
 
@@ -282,7 +282,7 @@ def test_pv_integral_matches_mpmath(name, fraction):
     model = PV_MODELS[name]
     x = fraction * model.cutoff
     ref = mp_pv(model, x)
-    got = pv_integral_many(model, x)
+    got = pv_integral_many(CauchyRule(model), x)
     assert abs(got - ref) <= 1e-14 * (abs(ref) + ob.spectral_weight(model, x))
 
 
@@ -291,9 +291,10 @@ def test_table_pv_matches_mpmath(name):
     # the spectral table's principal values, one vectorized call at its nodes,
     # checked at twelve nodes spread from the smallest to the largest
     model = PV_MODELS[name]
-    nodes = build_spectral_table(model, QUAD).nodes
+    decay = ob.Decay(model, QUAD)
+    nodes = build_spectral_table(decay).nodes
     pick = nodes[np.unique(np.geomspace(1, nodes.size, 12).astype(int) - 1)]
-    got = pv_integral_many(model, nodes)[np.searchsorted(nodes, pick)]
+    got = pv_integral_many(decay.rule, nodes)[np.searchsorted(nodes, pick)]
     for xi, value in zip(pick, got):
         ref = mp_pv(model, xi)
         assert abs(value - ref) <= 1e-14 * (abs(ref) + ob.spectral_weight(model, xi)), xi
@@ -304,7 +305,7 @@ def test_axis_profile_derivatives_match_mpmath(name):
     # X' and X'' come from the rule's R_2 and R_3 in closed form; the reference
     # differentiates the 30-digit X(w) = w - omega - lam^2 PV(w) numerically
     model = {**MODELS, **PV_MODELS}[name]
-    prof = axis_profile(model, QUAD)
+    prof = axis_profile(ob.Decay(model, QUAD))
     lam2 = model.lam**2
     with mp.workdps(30):
         w0 = mp.mpf(prof.omega0)
@@ -359,7 +360,7 @@ def test_brent_root_of_x_matches_scipy(rtol):
         rule = CauchyRule(model)
 
         def x_of(w):
-            return w - model.omega_bare - model.lam**2 * pv_integral_many(model, w, rule)
+            return w - model.omega_bare - model.lam**2 * pv_integral_many(rule, w)
 
         lo, hi = 1e-6 * model.cutoff, QUAD.truncation(model) - 1e-6 * model.cutoff
         assert x_of(lo) < 0 < x_of(hi)

@@ -9,7 +9,7 @@ from scipy.integrate import quad as scipy_quad
 
 import oscbath as ob
 from oracles import grid_refine_resonance
-from oscbath.quadrature import gauss_panels, pv_integral_many
+from oscbath.quadrature import CauchyRule, gauss_panels, pv_integral_many
 
 I = ob.Sheet.PHYSICAL_I
 II = ob.Sheet.SECOND_II
@@ -119,17 +119,17 @@ def _pv_excision_oracle(omega, T=40.0):
 
 @pytest.mark.parametrize("omega", [1.0, 4.9])
 def test_principal_value_excision_oracle(m1, quad, omega):
-    assert pv_integral_many(m1, omega) == pytest.approx(
+    assert pv_integral_many(CauchyRule(m1), omega) == pytest.approx(
         _pv_excision_oracle(omega), abs=1e-8)
 
 
 def test_perturbative_free_limit(quad):
     m = ob.build_model(1.0, 0.0, 1.0, 5.0, 1.0)
-    assert ob.perturbative_resonance(m, quad) == complex(1.0, 0.0)
+    assert ob.perturbative_resonance(ob.Decay(m, quad)) == complex(1.0, 0.0)
 
 
 def test_perturbative_m1_width(m1, quad):
-    z = ob.perturbative_resonance(m1, quad)
+    z = ob.perturbative_resonance(ob.Decay(m1, quad))
     assert z.imag == pytest.approx(-math.pi * 0.01 * math.exp(-0.04), rel=1e-12)
     gamma = -2.0 * z.imag
     assert gamma == pytest.approx(0.0603678, abs=1e-6)
@@ -140,7 +140,7 @@ def test_golden_rule_rate_ordering(quad):
     rates = {}
     for n in (0.5, 1.0, 2.0):
         m = ob.build_model(0.5, 0.1, n, 5.0, 1.0)
-        z = ob.perturbative_resonance(m, quad)
+        z = ob.perturbative_resonance(ob.Decay(m, quad))
         rates[n] = -2.0 * z.imag
         closed = 2.0 * math.pi * 0.01 * 0.5**n * math.exp(-0.01)
         assert rates[n] == pytest.approx(closed, abs=1e-12)
@@ -149,7 +149,7 @@ def test_golden_rule_rate_ordering(quad):
 
 def test_find_resonance_near_decoupled(quad):
     m = ob.build_model(1.0, 1e-8, 1.0, 5.0, 1.0)
-    res = ob.find_resonance(m, quad, tol=1e-12)
+    res = ob.find_resonance(ob.Decay(m, quad), tol=1e-12)
     assert abs(res.z0.imag) < 1e-15
     assert abs(res.z0 - 1.0) < 1e-14
 
@@ -171,7 +171,7 @@ def test_find_resonance_fourth_order_scaling(quad):
     ratios = []
     for lam in (0.05, 0.1, 0.2):
         m = ob.build_model(1.0, lam, 1.0, 5.0, 1.0)
-        res = ob.find_resonance(m, quad, tol=1e-12)
+        res = ob.find_resonance(ob.Decay(m, quad), tol=1e-12)
         ratios.append(abs(res.z0 - res.perturbative_z0) / lam**4)
     assert ratios[0] == pytest.approx(ratios[1], rel=0.15)
     assert ratios[1] == pytest.approx(ratios[2], rel=0.15)
@@ -186,7 +186,7 @@ def test_find_resonance_grid_oracle(m1, m1_resonance, quad):
                                         (0.8, 2.4744841084995144e-05)])
 def test_find_resonance_narrow(quad, omega, lam):
     # |Im z0| ~ 1.5e-9: the second moment is evaluated a hair below the cut
-    res = ob.find_resonance(ob.build_model(omega, lam, 1.0, 5.0), quad, tol=1e-12)
+    res = ob.find_resonance(ob.Decay(ob.build_model(omega, lam, 1.0, 5.0), quad), tol=1e-12)
     assert res.residual < 1e-12
     assert res.z0.imag < 0
 
@@ -194,12 +194,12 @@ def test_find_resonance_narrow(quad, omega, lam):
 def test_find_resonance_requires_coupling(quad):
     m = ob.build_model(1.0, 0.0, 1.0, 5.0, 1.0)
     with pytest.raises(ob.NoConvergence):
-        ob.find_resonance(m, quad)
+        ob.find_resonance(ob.Decay(m, quad))
 
 
 def test_find_resonance_iteration_budget(m1, quad):
     with pytest.raises(ob.NoConvergence):
-        ob.find_resonance(m1, quad, tol=1e-30, max_iter=1)
+        ob.find_resonance(ob.Decay(m1, quad), tol=1e-30, max_iter=1)
 
 
 def test_find_resonance_muller_fallback(quad):
@@ -207,7 +207,7 @@ def test_find_resonance_muller_fallback(quad):
     # the perturbative seed; only the Muller fallback reaches the zero
     m = ob.build_model(1.6413773735241075, 0.8007082973461992, 0.7787778415163586,
                        2.8169474662566714)
-    res = ob.find_resonance(m, quad)
+    res = ob.find_resonance(ob.Decay(m, quad))
     assert res.newton_iterations == 50
     assert res.z0.imag < 0
     assert abs(ob.alpha(m, ob.SheetPoint(res.z0, II), quad)) < 1e-12

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscbath as ob
+from oracles import spectral_moment
 from oscbath._tables import build_ray_table, build_spectral_table, node_sum
 
 
@@ -32,14 +33,14 @@ def test_spectral_amplitude_at_zero(m1_spectral):
 def test_spectral_free_evolution(quad):
     m = ob.build_model(1.0, 1e-8, 1.0, 5.0, 1.0)
     t = np.array([0.0, 0.5, 3.0, 17.0, 60.0])
-    series = ob.amplitude_spectral(m, t, quad)
+    series = ob.Decay(m, quad).amplitude_spectral(t)
     assert np.max(np.abs(series.delta0 - np.exp(-1j * t))) < 1e-6
 
 
-def test_spectral_exponential_phase(m1, m1_resonance, quad):
+def test_spectral_exponential_phase(m1_decay, m1_resonance):
     gamma = m1_resonance.gamma
     t = 2.0 / gamma
-    series = ob.amplitude_spectral(m1, np.array([0.0, t]), quad)
+    series = m1_decay.amplitude_spectral(np.array([0.0, t]))
     P = abs(series.delta0[1]) ** 2
     assert P == pytest.approx(math.exp(-2.0), rel=0.02)
 
@@ -53,19 +54,19 @@ def test_dual_method_agreement(m1_spectral, m1_pb):
     assert sup < 1e-6
 
 
-def test_oracle_consistency_exponential_point(m1, m1_resonance, quad, uniform_bath_1000):
+def test_oracle_consistency_exponential_point(m1_decay, m1_resonance, uniform_bath_1000):
     # spectral amplitude against the finite-bath eigensolver at t = 2/gamma
     gamma = m1_resonance.gamma
     t = np.array([2.0 / gamma])
-    sp = ob.amplitude_spectral(m1, t, quad)
+    sp = m1_decay.amplitude_spectral(t)
     disc = ob.oracle_amplitude(uniform_bath_1000, t)
     assert abs(abs(sp.delta0[0]) ** 2 - abs(disc.delta0[0]) ** 2) < 1e-3
 
 
-def test_background_dominates_at_late_times(m1, m1_resonance):
+def test_background_dominates_at_late_times(m1_decay, m1_resonance):
     gamma = m1_resonance.gamma
     t = np.array([0.0, 50.0 / gamma])
-    pb = ob.amplitude_pole_background(m1, m1_resonance, t)
+    pb = m1_decay.amplitude_pole_background(m1_resonance, t)
     assert abs(pb.background[1]) > abs(pb.pole_term[1])
 
 
@@ -76,7 +77,7 @@ def test_amplitude_unit_bound(m1_spectral, m1_pb):
 
 def test_survival_probability_free_limit(quad):
     m = ob.build_model(1.0, 1e-8, 1.0, 5.0, 1.0)
-    series = ob.amplitude_spectral(m, np.linspace(0.0, 40.0, 50), quad)
+    series = ob.Decay(m, quad).amplitude_spectral(np.linspace(0.0, 40.0, 50))
     P, G = ob.survival_probability(series)
     assert np.max(np.abs(P - 1.0)) < 1e-6
     assert np.max(np.abs(G)) < 1e-6
@@ -101,58 +102,52 @@ def test_gamma_in_exponential_window(m1_resonance, m1_pb):
     assert np.all(np.abs(G[mask] - gamma) < 0.02 * gamma)
 
 
-def test_gamma_late_log_over_t(m1, m1_resonance):
+def test_gamma_late_log_over_t(m1_decay, m1_resonance):
     # -ln P / t drifts like ln t / t at late times: Gamma*t/ln t flattens
     gamma = m1_resonance.gamma
     ts = np.array([50.0, 100.0, 200.0]) / gamma
-    pb = ob.amplitude_pole_background(m1, m1_resonance, ts)
+    pb = m1_decay.amplitude_pole_background(m1_resonance, ts)
     P, G = ob.survival_probability(pb)
     v = G * ts / np.log(ts)
     assert abs(v[2] - v[1]) < abs(v[1] - v[0])
 
 
-def test_zeno_slope_and_quadratic(m1, m1_spectral):
-    fit = ob.zeno_slope(m1_spectral)
+def test_zeno_slope_and_quadratic(m1, m1_decay):
+    fit = ob.zeno_slope(m1_decay)
     assert abs(fit.slope) < 1e-8
-    q_expected = 0.01 * ob.spectral_moment(m1, 0)
+    q_expected = 0.01 * spectral_moment(m1, 0)
     assert fit.quadratic == pytest.approx(q_expected, rel=0.01)
     assert q_expected == pytest.approx(0.125, rel=1e-12)
 
 
-def test_zeno_variance_identity(m1, quad):
+def test_zeno_variance_identity(m1, m1_decay):
     # table moments: the variance of the spectral measure equals lam^2 int g2
-    table = build_spectral_table(m1, quad)
+    table = build_spectral_table(m1_decay)
     w, x = table.weights, table.nodes
     variance = np.sum(w * x**2) - np.sum(w * x) ** 2
-    assert variance == pytest.approx(0.01 * ob.spectral_moment(m1, 0), abs=1e-6)
+    assert variance == pytest.approx(0.01 * spectral_moment(m1, 0), abs=1e-6)
 
 
 def test_zeno_quadratic_is_table_variance(m1, quad):
-    # the Zeno numbers come from the series' table, whatever grid it holds
-    series = ob.amplitude_spectral(m1, np.linspace(0.0, 10.0, 11), quad)
-    fit = ob.zeno_slope(series)
+    # the Zeno numbers come from the object's table, before any amplitude
+    fit = ob.zeno_slope(ob.Decay(m1, quad))
     assert abs(fit.slope) < 1e-8
-    assert fit.quadratic == pytest.approx(0.01 * ob.spectral_moment(m1, 0), rel=1e-12)
-
-
-def test_zeno_needs_spectral_table(m1_pb):
-    with pytest.raises(ValueError):
-        ob.zeno_slope(m1_pb)
+    assert fit.quadratic == pytest.approx(0.01 * spectral_moment(m1, 0), rel=1e-12)
 
 
 def test_decoupled_table_is_free_evolution(quad):
     m = ob.build_model(1.0, 0.0, 1.0, 5.0, 1.0)
     t = np.linspace(0.0, 1e3, 500)
-    series = ob.amplitude_spectral(m, t, quad)
-    assert series.table.nodes.tolist() == [1.0]
+    decay = ob.Decay(m, quad)
+    series = decay.amplitude_spectral(t)
+    assert decay.spectral_table.nodes.tolist() == [1.0]
     assert np.array_equal(series.delta0, np.exp(-1j * m.omega_bare * t))
     assert ob.sum_rule(m, quad) == 1.0
 
 
 def test_zeno_free_limit(quad):
     m = ob.build_model(1.0, 0.0, 1.0, 5.0, 1.0)
-    grid = np.concatenate([[0.0], np.geomspace(1e-4, 0.1, 24)])
-    fit = ob.zeno_slope(ob.amplitude_spectral(m, grid, quad))
+    fit = ob.zeno_slope(ob.Decay(m, quad))
     # one node has variance 0; rounding noise in |exp(-i t)|^2 is amplified
     # by the 1/t of the slope fit
     assert abs(fit.slope) < 1e-8
@@ -166,11 +161,11 @@ def test_khalfin_exponent_m1(m1_resonance, m1_pb_long):
 
 
 def test_khalfin_exponent_supraohmic(quad):
-    m = ob.build_model(1.0, 0.1, 2.0, 5.0, 1.0)
-    res = ob.find_resonance(m, quad, tol=1e-12)
+    decay = ob.Decay(ob.build_model(1.0, 0.1, 2.0, 5.0, 1.0), quad)
+    res = ob.find_resonance(decay, tol=1e-12)
     gamma = res.gamma
     grid = ob.hybrid_time_grid(1.0, gamma, 200.0 / gamma, 320)
-    pb = ob.amplitude_pole_background(m, res, grid)
+    pb = decay.amplitude_pole_background(res, grid)
     slope = ob.khalfin_exponent(pb, (80.0 / gamma, 200.0 / gamma))
     assert slope == pytest.approx(-6.0, abs=0.3)
 
@@ -189,26 +184,26 @@ def test_crossover_times_m1(m1_resonance, m1_pb_long):
     # defining equation |pole| = |background| holds at the returned point
     pole = abs(np.exp(-1j * m1_resonance.z0 * t_khalfin)
                / m1_resonance.alpha_prime_at_pole)
-    bg = abs(m1_pb_long.table.background(np.array([t_khalfin]))[0])
+    bg = abs(m1_pb_long.ray.background(np.array([t_khalfin]))[0])
     assert abs(pole - bg) <= 0.01 * pole
 
 
-def test_crossover_scaling_with_coupling(m1, m1_resonance, m1_pb_long, quad):
+def test_crossover_scaling_with_coupling(m1_resonance, m1_pb_long, quad):
     # stronger coupling brings the tail takeover earlier in lifetime units
-    m = ob.build_model(1.0, 0.2, 1.0, 5.0, 1.0)
-    res = ob.find_resonance(m, quad, tol=1e-12)
+    decay = ob.Decay(ob.build_model(1.0, 0.2, 1.0, 5.0, 1.0), quad)
+    res = ob.find_resonance(decay, tol=1e-12)
     grid = ob.hybrid_time_grid(1.0, res.gamma, 200.0 / res.gamma, 320)
-    pb = ob.amplitude_pole_background(m, res, grid)
+    pb = decay.amplitude_pole_background(res, grid)
     tk_strong = ob.crossover_times(res, pb)[1]
     tk_weak = ob.crossover_times(m1_resonance, m1_pb_long)[1]
     assert tk_strong * res.gamma < tk_weak * m1_resonance.gamma
 
 
 def test_crossover_not_bracketed_without_decay(quad):
-    m = ob.build_model(1.0, 1e-8, 1.0, 5.0, 1.0)
-    res = ob.find_resonance(m, quad, tol=1e-12)
+    decay = ob.Decay(ob.build_model(1.0, 1e-8, 1.0, 5.0, 1.0), quad)
+    res = ob.find_resonance(decay, tol=1e-12)
     grid = np.concatenate([[0.0], np.geomspace(1e-4, 50.0, 80)])
-    pb = ob.amplitude_pole_background(m, res, grid)
+    pb = decay.amplitude_pole_background(res, grid)
     with pytest.raises(ob.CrossoverNotBracketed):
         ob.crossover_times(res, pb)
 
@@ -244,11 +239,11 @@ def test_phase_structure_descend_plateau_rise(m1_resonance, m1_pb_long):
     assert trend == [-1.0, 0.0, 1.0]
 
 
-def test_spectral_route_at_long_times(m1, m1_resonance, quad):
+def test_spectral_route_at_long_times(m1_decay, m1_resonance):
     # the table resolves the weight, not the phase, so one table serves any t
     times = np.concatenate([[0.0], np.geomspace(1.0, 1e7, 29)])
-    sp = ob.amplitude_spectral(m1, times, quad)
-    pb = ob.amplitude_pole_background(m1, m1_resonance, times)
+    sp = m1_decay.amplitude_spectral(times)
+    pb = m1_decay.amplitude_pole_background(m1_resonance, times)
     assert np.max(np.abs(sp.delta0 - pb.delta0)) < 1e-13
 
 
@@ -262,7 +257,7 @@ def test_filon_is_the_node_sum_where_panels_resolve_phase(m1, quad, name):
     # where h*t <= 1 on every panel, the panel rule and the Gauss node sum
     # of the same table agree to rounding; the node sum is taken in extended
     # precision, because in double its own rounding is about 7e-16
-    table = build_spectral_table(m1 if name == "m1" else NARROW, quad)
+    table = build_spectral_table(ob.Decay(m1 if name == "m1" else NARROW, quad))
     times = np.linspace(0.0, 1.0 / table.halfwidths.max(), 17)
     x, w = table.nodes.astype(np.longdouble), table.weights.astype(np.longdouble)
     direct = np.array([np.sum(w * np.exp(-1j * x * t)) for t in times.astype(np.longdouble)])
@@ -271,10 +266,11 @@ def test_filon_is_the_node_sum_where_panels_resolve_phase(m1, quad, name):
 
 def test_narrow_resonance_routes_agree(quad):
     # once past the old phase-resolving node cap; out to about 10 lifetimes
-    res = ob.find_resonance(NARROW, quad)
+    decay = ob.Decay(NARROW, quad)
+    res = ob.find_resonance(decay)
     grid = ob.hybrid_time_grid(NARROW.omega_bare, res.gamma, 1.5e5, 320)
-    sp = ob.amplitude_spectral(NARROW, grid, quad)
-    pb = ob.amplitude_pole_background(NARROW, res, grid)
+    sp = decay.amplitude_spectral(grid)
+    pb = decay.amplitude_pole_background(res, grid)
     assert np.max(np.abs(sp.delta0 - pb.delta0)) < 1e-10
 
 
@@ -331,11 +327,11 @@ GRIDS = ["linspace", "hybrid", "irregular", "nudged", "single", "unsorted"]
 
 
 @pytest.mark.parametrize("grid", GRIDS)
-def test_node_sum_ray_table(m1, m1_resonance, grid):
+def test_node_sum_ray_table(m1_decay, m1_resonance, grid):
     # the reference model's ray table out to 200 lifetimes, where most late
     # columns underflow
     t_max = 200.0 / m1_resonance.gamma
-    table = build_ray_table(m1, m1_resonance.z0, t_max)
+    table = build_ray_table(m1_decay, m1_resonance.z0, t_max)
     rates = (-math.sin(table.theta) - 1j * math.cos(table.theta)) * table.s_nodes
     assert np.mean(rates.real * t_max < -745.2) > 0.3
     _assert_node_sum(_grid(grid, t_max, m1_resonance.gamma), rates, table.values)
@@ -385,15 +381,15 @@ def test_phase_report_ordering_invariant():
                        khalfin_exponent=-4.0, t_zeno=10.0, t_khalfin=1.0)
 
 
-def test_ray_angle_not_below_pole(m1, m1_resonance):
+def test_ray_angle_not_below_pole(m1_decay, m1_resonance):
     # the angle is used as given; one that does not pass below the pole fails
     # with a message that names the admissible interval
     with pytest.raises(ob.PoleOnRay, match=r"\(0\.05043, pi/4\)"):
-        ob.amplitude_pole_background(m1, m1_resonance, np.array([0.0, 1.0]), theta=0.02)
+        m1_decay.amplitude_pole_background(m1_resonance, np.array([0.0, 1.0]), theta=0.02)
 
 
 @pytest.mark.parametrize("theta", [-0.5, 0.0, math.pi / 4, 1.0, 2.0])
-def test_ray_angle_out_of_range(m1, m1_resonance, quad, theta):
+def test_ray_angle_out_of_range(m1_decay, m1_resonance, theta):
     # the Gaussian factor of g2 decays along the ray only below pi/4
     with pytest.raises(ValueError, match="pi/4"):
-        build_ray_table(m1, m1_resonance.z0, t_max=1.0, theta=theta)
+        build_ray_table(m1_decay, m1_resonance.z0, t_max=1.0, theta=theta)

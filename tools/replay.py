@@ -3,6 +3,7 @@
     python3 tools/replay.py decay_phases 1-10
     python3 tools/replay.py pole_scan 1-5 --against ../other-checkout
     python3 tools/replay.py decay_phases 1-3 --against ../other-checkout --artifacts
+    python3 tools/replay.py decay_phases 1-10 --census tests/census/decay_phases.txt
 
 Prints one line per job: seed, job id, exit code, the error class named on
 stderr and the bench check it missed ("-" for none).  The job lists and the
@@ -18,6 +19,13 @@ relative to the larger magnitude of the two values; a CSV row's text cells
 (such as ``method``) label its column, and a JSON list's entries share one
 label.  A last block gives the largest differences of each label over all
 jobs.
+
+``--census FILE`` writes the replay's lines to FILE when it does not exist.
+When it does, the replay is compared with the lines of FILE for the same
+seed and job: it prints every new failure, new pass and changed failure
+(another exit code, error class or check), and exits 1 on a new failure, a
+changed failure or a job that FILE does not hold.  A job fails when it exits
+nonzero or misses a check.
 """
 
 import argparse
@@ -62,6 +70,33 @@ def replay(src: Path, workload: str, seeds, tmp: Path) -> list[str]:
         lines += [f"{seed} {name} {code} {error} {missed or ladder_missed.get(rung) or '-'}"
                   for name, code, error, missed, rung in rows]
     return lines
+
+
+def census(lines, path: Path) -> int:
+    """Write the census ``path``, or compare ``lines`` with it; the exit code."""
+    if not path.exists():
+        path.write_text("\n".join(lines) + "\n")
+        print(f"wrote {len(lines)} jobs to {path}")
+        return 0
+    recorded = {tuple(line.split()[:2]): line for line in path.read_text().splitlines()}
+    report, failures, recorded_failures = [], 0, 0
+    for line in lines:
+        old = recorded.get(tuple(line.split()[:2]))
+        if old is None:
+            report.append(f"not in the census: {line}")
+            continue
+        was, now = (text.split()[2:] != ["0", "-", "-"] for text in (old, line))
+        recorded_failures += was
+        failures += now
+        if now and not was:
+            report.append(f"new failure: {line}")
+        elif was and not now:
+            report.append(f"new pass: {line} | {old}")
+        elif now and line != old:
+            report.append(f"changed failure: {line} | {old}")
+    print("\n".join(report + [f"{len(lines)} jobs: {failures} failures, "
+                              f"{recorded_failures} in the census"]))
+    return 1 if any(not r.startswith("new pass") for r in report) else 0
 
 
 def _number(text: str):
@@ -141,11 +176,15 @@ def main():
     parser.add_argument("--against", type=Path, help="another checkout to compare with")
     parser.add_argument("--artifacts", action="store_true",
                         help="with --against, compare the files of the jobs that pass on both")
+    parser.add_argument("--census", type=Path,
+                        help="write this census file, or compare with it if it exists")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help=argparse.SUPPRESS)
     parser.add_argument("--out", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.artifacts and args.against is None:
         parser.error("--artifacts needs --against")
+    if args.census and args.against:
+        parser.error("--census compares with a file, not with --against")
     lo, _, hi = args.seeds.partition("-")
     seeds = range(int(lo), int(hi or lo) + 1)
     with tempfile.TemporaryDirectory() as tmp:
@@ -155,6 +194,8 @@ def main():
                                       "--src", str(args.against / "src"), "--out", str(there)],
                                      stdout=subprocess.PIPE, text=True)
         lines = replay(args.src, args.workload, seeds, here)
+        if args.census is not None:
+            sys.exit(census(lines, args.census))
         if args.against is None:
             print("\n".join(lines))
             return
