@@ -17,9 +17,10 @@ ROOT = Path(__file__).resolve().parents[1]
 REPLAY = ROOT / "tools" / "replay.py"
 
 
-def test_decay_phases_seed_3_matches_census():
-    done = subprocess.run([sys.executable, str(REPLAY), "decay_phases", "3", "--census",
-                           str(ROOT / "tests" / "census" / "decay_phases.txt")],
+@pytest.mark.parametrize("workload", ["decay_phases", "pole_scan"])
+def test_seed_3_matches_census(workload):
+    done = subprocess.run([sys.executable, str(REPLAY), workload, "3", "--census",
+                           str(ROOT / "tests" / "census" / f"{workload}.txt")],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
 

@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, artifacts, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oscbath
 import oscbath.cli as cli
 from oscbath.errors import ConfigError, DensityInvariantViolated
 from oscbath.quadrature import CauchyRule
@@ -502,3 +504,69 @@ def test_schema_rejects_nonfinite(key, value):
     raw = cli.parse_config_file(CONFIGS / "reference.cfg")
     with pytest.raises(ConfigError, match=key):
         cli.build_runconfig(raw, [f"{key}={value}"])
+
+
+def test_truncation_multiple_checked_in_schema():
+    # [4, 64] is the key's domain, refused as the config is read
+    raw = cli.parse_config_file(CONFIGS / "reference.cfg")
+    for value in ("3.99", "100"):
+        with pytest.raises(ConfigError, match="truncation_multiple.*in \\[4, 64\\]"):
+            cli.build_runconfig(raw, [f"truncation_multiple={value}"])
+    for value in ("4", "64"):
+        assert cli.build_runconfig(raw, [f"truncation_multiple={value}"])["truncation_multiple"] \
+            == float(value)
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys):
+    # the parser and its five subparsers are built on the first call of the
+    # process only, which an earlier test may have made
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(3):
+        assert run(["pole", "--config", CONFIGS / "reference.cfg", "--out", tmp_path]) == 0
+    assert len(built) in (0, 1 + len(cli._COMMANDS))
+    capsys.readouterr()
+
+
+def test_calls_leave_no_state_behind(tmp_path, capsys):
+    # an override of one call does not reach the next: --override appends to a
+    # copy of its default
+    args = ["pole", "--config", CONFIGS / "reference.cfg", "--out"]
+    assert run(args + [tmp_path / "a", "--override", "lambda=0"]) == 0
+    assert json.loads((tmp_path / "a" / "pole.json").read_text())["z0_im"] == 0.0
+    assert run(args + [tmp_path / "b"]) == 0
+    capsys.readouterr()
+    second = (tmp_path / "b" / "pole.json").read_bytes()
+    assert json.loads(second)["z0_im"] < 0
+    script = (
+        "import oscbath.cli as cli\n"
+        f"raise SystemExit(cli.main(['pole', '--config', {str(CONFIGS / 'reference.cfg')!r}, "
+        f"'--out', {str(tmp_path / 'fresh')!r}]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    subprocess.run([sys.executable, "-c", script], capture_output=True, cwd=tmp_path, env=env,
+                   check=True)
+    assert (tmp_path / "fresh" / "pole.json").read_bytes() == second
+
+
+def test_bad_arguments_then_a_valid_call(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["nosuch"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(["pole", "--config", CONFIGS / "reference.cfg", "--out", tmp_path]) == 0
+    capsys.readouterr()
+
+
+def test_version_twice(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"oscbath {oscbath.__version__}\n"
