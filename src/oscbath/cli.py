@@ -218,6 +218,11 @@ def write_csv(path: Path, header, rows):
             fh.writelines(line % tuple(row) for row in rows)
 
 
+def _rows(*columns) -> list[tuple]:
+    """Rows of Python numbers from equally long numpy columns."""
+    return list(zip(*(column.tolist() for column in columns)))
+
+
 def write_json(path: Path, payload) -> str:
     text = json.dumps(payload, indent=2, sort_keys=True)
     path.write_text(text + "\n")
@@ -294,8 +299,8 @@ def cmd_survival(cfg: RunConfig, out: Path) -> dict:
     rows = []
     for series, method in ((sp, "spectral"), (pb, "pole_background")):
         P, G = survival_probability(series)
-        rows += [(t, d.real, d.imag, p, g, method)
-                 for t, d, p, g in zip(series.times, series.delta0, P, G)]
+        rows += [(*row, method) for row in _rows(series.times, series.delta0.real,
+                                                 series.delta0.imag, P, G)]
     write_csv(out / "survival.csv",
               ("t", "re_delta0", "im_delta0", "P", "Gamma", "method"), rows)
 
@@ -323,31 +328,29 @@ def cmd_density(cfg: RunConfig, out: Path) -> dict:
     grid = np.linspace(0.0, t_max, cfg["n_points"])
     pb = decay.amplitude_pole_background(res, grid, theta=cfg["ray_theta"])
 
-    pos_tol = cfg["density_pos_tol"]
-    rows = []
-    sup_diff = 0.0
-    for t, d in zip(grid, pb.delta0):
-        exact = reduced_density(state, d, t)
-        lind = lindblad_solution(state, omega_l, gamma, t)
-        if abs(exact.trace - 1.0) > 1e-12:
-            raise DensityInvariantViolated(f"trace {exact.trace} != 1 at t={t}")
-        if exact.positivity_determinant < -pos_tol:
-            raise DensityInvariantViolated(
-                f"positivity determinant {exact.positivity_determinant} < -{pos_tol} at t={t}"
-            )
-        diff = max(abs(exact.rho11 - lind.rho11), abs(exact.rho00 - lind.rho00),
-                   abs(exact.rho10 - lind.rho10))
-        sup_diff = max(sup_diff, diff)
-        rows.append((t, exact.rho11, exact.rho10.real, exact.rho10.imag, exact.rho00,
-                     lind.rho11, lind.rho10.real, lind.rho10.imag, lind.rho00, diff))
+    exact = reduced_density(state, pb.delta0, grid)  # checks the amplitude bound first
+    lind = lindblad_solution(state, omega_l, gamma, grid)
+    trace, det, pos_tol = exact.trace, exact.positivity_determinant, cfg["density_pos_tol"]
+    bad_trace = np.abs(trace - 1.0) > 1e-12
+    bad = np.flatnonzero(bad_trace | (det < -pos_tol))
+    if bad.size:  # the first failing time, the trace before the positivity
+        i = bad[0]
+        if bad_trace[i]:
+            raise DensityInvariantViolated(f"trace {trace[i]} != 1 at t={grid[i]}")
+        raise DensityInvariantViolated(
+            f"positivity determinant {det[i]} < -{pos_tol} at t={grid[i]}")
+    diff = np.max([np.abs(exact.rho11 - lind.rho11), np.abs(exact.rho00 - lind.rho00),
+                   np.abs(exact.rho10 - lind.rho10)], axis=0)
     write_csv(out / "density.csv",
               ("t", "rho11", "re_rho10", "im_rho10", "rho00",
-               "l_rho11", "l_re_rho10", "l_im_rho10", "l_rho00", "abs_diff"), rows)
+               "l_rho11", "l_re_rho10", "l_im_rho10", "l_rho00", "abs_diff"),
+              _rows(grid, exact.rho11, exact.rho10.real, exact.rho10.imag, exact.rho00,
+                    lind.rho11, lind.rho10.real, lind.rho10.imag, lind.rho00, diff))
     report = {
         "gamma": gamma,
         "lindblad_omega": omega_l,
-        "final_rho00": rows[-1][4],
-        "sup_exact_minus_lindblad": sup_diff,
+        "final_rho00": float(exact.rho00[-1]),
+        "sup_exact_minus_lindblad": float(diff.max()),
     }
     print(write_json(out / "density.json", report))
     return report
@@ -374,8 +377,7 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> dict:
         N = bath.frequencies.size
         p_cont = np.abs(table.amplitude(grid)) ** 2
         dev = np.abs(p_disc - p_cont)
-        for t, po, pc, d in zip(grid, p_disc, p_cont, dev):
-            rows.append((N, t, po, pc, d))
+        rows += [(N, *row) for row in _rows(grid, p_disc, p_cont, dev)]
         max_dev = float(dev.max())
         if prev is not None and max_dev >= prev:
             monotone = False

@@ -40,27 +40,22 @@ def spectral_moment(model, k: int = 0) -> float:
     return 0.5 * model.prefactor * model.cutoff**s * math.gamma(s / 2.0)
 
 
-def lindblad_trajectory(state, omega0: float, gamma: float, times):
-    return [ob.lindblad_solution(state, omega0, gamma, float(t)) for t in np.asarray(times)]
-
-
-def pauli_residual(trajectory, gamma: float) -> float:
-    """Worst occupation-rate-equation defect along a uniform-grid trajectory.
+def pauli_residual(rho, gamma: float) -> float:
+    """Worst occupation-rate-equation defect along a uniform-grid trajectory,
+    a density matrix whose fields are arrays over its times ``rho.t``.
 
     Checks d/dt rho_nn = gamma * ((n+1) rho_{n+1,n+1} - n rho_nn) for
     n in {0, 1} with the two-quantum population identically zero, using
     4th-order central differences.
     """
-    traj = list(trajectory)
-    if len(traj) < 5:
+    t = np.asarray(rho.t, dtype=float)
+    if t.size < 5:
         raise GridTooCoarse("need at least 5 trajectory points for 4th-order differences")
-    t = np.array([d.t for d in traj])
     h = np.diff(t)
     if np.max(np.abs(h - h[0])) > 1e-9 * h[0]:
         raise GridTooCoarse("trajectory grid must be uniform")
     h = h[0]
-    r11 = np.array([d.rho11 for d in traj])
-    r00 = np.array([d.rho00 for d in traj])
+    r11, r00 = rho.rho11, rho.rho00
 
     def d4(f):
         return (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12.0 * h)

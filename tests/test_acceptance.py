@@ -14,8 +14,7 @@ import pytest
 
 import oscbath as ob
 from conftest import state_sampler
-from oracles import (energy_drift, grid_refine_resonance, lindblad_trajectory,
-                     pauli_residual, spectral_moment)
+from oracles import energy_drift, grid_refine_resonance, pauli_residual, spectral_moment
 from oscbath.quadrature import CauchyRule
 
 
@@ -219,7 +218,7 @@ def test_criterion_10_pauli_lindblad(m1_decay, m1_resonance):
     state = ob.OscillatorState(c11=0.5, c10=0.5)
     h = 1e-3 / gamma
     times = np.arange(0.0, 2.0 / gamma, h)
-    traj = lindblad_trajectory(state, m1_resonance.omega0, gamma, times)
+    traj = ob.lindblad_solution(state, m1_resonance.omega0, gamma, times)
     residual = pauli_residual(traj, gamma)
     assert residual < 1e-8
     grid = np.linspace(0.0, 20.0 / gamma, 1500)

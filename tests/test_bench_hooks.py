@@ -88,6 +88,14 @@ def test_traced_runs_keep_every_layer(monkeypatch, tmp_path, capsys, command, se
     assert tracer.counts.get("tables.ray_nodes", 0) == sum(t.s_nodes.size for t in built)
 
 
+def test_density_calls_each_solution_once(monkeypatch, tmp_path, capsys):
+    # the exact and the closed-form matrices each come from one call over the
+    # whole time grid, not one call per time
+    tracer = _traced_run(monkeypatch, tmp_path, capsys, ["density"])
+    assert tracer.counts["density.steps"] == 1
+    assert [span[0] for span in tracer.spans].count("density.steps") == 2
+
+
 def test_oracle_builds_one_spectral_table(monkeypatch, tmp_path, capsys):
     # the table for the widest window serves every rung of the ladder
     tracer = _traced_run(monkeypatch, tmp_path, capsys,

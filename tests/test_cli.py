@@ -300,6 +300,26 @@ def test_density_invariant_exit_5(cfg_path, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "DensityInvariantViolated"
 
 
+@pytest.mark.parametrize("overrides", [[], ["--override", "density_pos_tol=-1"]])
+def test_density_amplitude_bound_checked_first(cfg_path, tmp_path, monkeypatch, capsys,
+                                               overrides):
+    # the amplitude bound is checked over the whole grid before the trace and
+    # the positivity: an amplitude of 1.5 at the last time wins over a
+    # positivity demand that fails at t = 0
+    def out_of_range_at_end(*args, **kwargs):
+        series = pole_background(*args, **kwargs)
+        series.delta0[-1] = 1.5
+        return series
+
+    pole_background = cli.Decay.amplitude_pole_background
+    monkeypatch.setattr(cli.Decay, "amplitude_pole_background", out_of_range_at_end)
+    code = run(["density", "--config", cfg_path, "--out", tmp_path / "out", *overrides])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "AmplitudeOutOfRange"
+    assert err["message"] == "|Delta0| = 1.5 exceeds the unit bound"
+
+
 def test_density_exit_5_wiring(cfg_path, tmp_path, monkeypatch, capsys):
     def boom(cfg, out):
         raise DensityInvariantViolated("forced")

@@ -2,13 +2,14 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import oscbath as ob
 from conftest import state_sampler
-from oracles import equilibrium, lindblad_trajectory, pauli_residual
+from oracles import equilibrium, pauli_residual
 
 
 def test_identity_evolution_returns_initial_state():
@@ -57,11 +58,61 @@ def test_amplitude_out_of_range():
             ob.reduced_density(state, amp)
 
 
+def test_grid_matches_pointwise(m1_decay, m1_resonance):
+    # one call over a grid gives the values of one call per time: the
+    # populations bitwise, |Delta0| rounded as abs(complex), the coherences
+    # to within numpy's complex rounding
+    gamma = m1_resonance.gamma
+    state = ob.OscillatorState(c11=0.6, c10=0.3 + 0.2j)
+    grid = np.linspace(0.0, 20.0 / gamma, 320)
+    amps = m1_decay.amplitude_pole_background(m1_resonance, grid).delta0
+    exact = ob.reduced_density(state, amps, grid)
+    lind = ob.lindblad_solution(state, m1_resonance.omega0, gamma, grid)
+    for i, (t, d) in enumerate(zip(grid, amps)):
+        P = min(abs(complex(d)) ** 2, 1.0)
+        assert exact.rho11[i] == state.c11 * P
+        assert exact.rho00[i] == state.c00 + state.c11 * (1.0 - P)
+        for rho, one in ((exact, ob.reduced_density(state, d, t)),
+                         (lind, ob.lindblad_solution(state, m1_resonance.omega0, gamma, t))):
+            assert rho.rho11[i] == one.rho11
+            assert rho.rho00[i] == one.rho00
+            assert abs(rho.rho10[i] - one.rho10) <= 1.1e-16
+            assert rho.positivity_determinant[i] == pytest.approx(one.positivity_determinant,
+                                                                  abs=1e-15)
+
+
+def test_amplitude_out_of_range_on_a_grid():
+    # the first offending modulus is named; a NaN anywhere fails; an
+    # overflowing modulus fails without a RuntimeWarning
+    state = ob.OscillatorState(c11=0.5, c10=0.1)
+    with pytest.raises(ob.AmplitudeOutOfRange, match=r"\|Delta0\| = 1\.5 exceeds"):
+        ob.reduced_density(state, np.array([0.5, 1.5, 0.2, 2.0]))
+    with pytest.raises(ob.AmplitudeOutOfRange, match="nan"):
+        ob.reduced_density(state, np.array([0.5, math.nan, 0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ob.AmplitudeOutOfRange, match="inf"):
+            ob.reduced_density(state, np.array([0.5, complex(1.7e308, 1.7e308)]))
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         ob.OscillatorState(c11=1.2)
     with pytest.raises(ValueError):
         ob.OscillatorState(c11=0.1, c10=0.9)  # c11*c00 < |c10|^2
+    for c10 in (complex(math.nan, 0.0), complex(0.0, math.nan), math.nan):
+        with pytest.raises(ValueError):
+            ob.OscillatorState(c11=0.5, c10=c10)
+    # the positivity boundary itself passes within its slack
+    ob.OscillatorState(c11=0.3, c10=math.sqrt(0.3 * 0.7))
+
+
+@pytest.mark.parametrize("gamma, t", [
+    (math.nan, 1.0), (0.0, 1.0), (-0.1, 1.0),
+    (0.05, -1.0), (0.05, math.nan), (0.05, [0.0, math.nan, 1.0]), (0.05, [0.0, -1.0, 1.0])])
+def test_lindblad_rejects_nan_and_negative_inputs(gamma, t):
+    with pytest.raises(ValueError):
+        ob.lindblad_solution(ob.OscillatorState(c11=0.5), 1.0, gamma, t)
 
 
 def test_lindblad_initial_state():
@@ -112,7 +163,7 @@ def test_pauli_residual_lindblad(m1_resonance):
     state = ob.OscillatorState(c11=0.8, c10=0.2)
     h = 1e-3 / gamma
     times = np.arange(0.0, 2.0 / gamma, h)
-    traj = lindblad_trajectory(state, m1_resonance.omega0, gamma, times)
+    traj = ob.lindblad_solution(state, m1_resonance.omega0, gamma, times)
     assert pauli_residual(traj, gamma) < 1e-8
 
 
@@ -124,7 +175,7 @@ def test_pauli_residual_fourth_order_scaling(m1_resonance):
     res = {}
     for h in (0.1 / gamma, 0.05 / gamma):
         times = np.arange(0.0, 3.0 / gamma, h)
-        traj = lindblad_trajectory(state, m1_resonance.omega0, gamma, times)
+        traj = ob.lindblad_solution(state, m1_resonance.omega0, gamma, times)
         res[h] = pauli_residual(traj, gamma)
     ratio = res[0.1 / gamma] / res[0.05 / gamma]
     assert 8.0 < ratio < 32.0
@@ -132,8 +183,8 @@ def test_pauli_residual_fourth_order_scaling(m1_resonance):
 
 def test_pauli_residual_vacuum_stationary(m1_resonance):
     gamma = m1_resonance.gamma
-    traj = [ob.DensityMatrix2(rho11=0.0, rho00=1.0, rho10=0.0, t=t)
-            for t in np.linspace(0.0, 10.0, 50)]
+    traj = ob.DensityMatrix2(rho11=np.zeros(50), rho00=np.ones(50), rho10=np.zeros(50, complex),
+                             t=np.linspace(0.0, 10.0, 50))
     assert pauli_residual(traj, gamma) == 0.0
 
 
@@ -145,7 +196,7 @@ def test_pauli_residual_exact_trajectory_reported(m1_decay, m1_resonance):
     h = 1e-2 / gamma
     times = np.arange(0.0, 1.0 / gamma, h)
     pb = m1_decay.amplitude_pole_background(m1_resonance, times)
-    traj = [ob.reduced_density(state, d, t) for t, d in zip(times, pb.delta0)]
+    traj = ob.reduced_density(state, pb.delta0, times)
     residual = pauli_residual(traj, gamma)
     assert np.isfinite(residual)
     assert residual < 1.0
@@ -155,8 +206,8 @@ def test_pauli_grid_validation(m1_resonance):
     gamma = m1_resonance.gamma
     state = ob.OscillatorState(c11=1.0)
     with pytest.raises(ob.GridTooCoarse):
-        pauli_residual(lindblad_trajectory(state, 1.0, gamma, [0.0, 1.0, 2.0]), gamma)
-    uneven = lindblad_trajectory(state, 1.0, gamma, [0.0, 1.0, 2.0, 4.0, 8.0, 9.0])
+        pauli_residual(ob.lindblad_solution(state, 1.0, gamma, [0.0, 1.0, 2.0]), gamma)
+    uneven = ob.lindblad_solution(state, 1.0, gamma, [0.0, 1.0, 2.0, 4.0, 8.0, 9.0])
     with pytest.raises(ob.GridTooCoarse):
         pauli_residual(uneven, gamma)
 
@@ -174,8 +225,7 @@ def test_equilibrium_approach_and_monotonicity(m1_decay, m1_resonance):
     state = ob.OscillatorState(c11=1.0)
     grid = np.linspace(0.0, 20.0 / gamma, 600)
     pb = m1_decay.amplitude_pole_background(m1_resonance, grid)
-    rho00 = np.array([ob.reduced_density(state, d, t).rho00
-                      for t, d in zip(grid, pb.delta0)])
+    rho00 = ob.reduced_density(state, pb.delta0, grid).rho00
     assert rho00[-1] > 0.999
     # monotone growth inside the exponential window, where the background
     # is subdominant
