@@ -8,15 +8,17 @@
   interpolant of the weight against exp(-i w t) exactly, from the panel's
   Legendre moments and the spherical Bessel functions j_k (a Filon-type rule:
   Iserles & Norsett, Proc. R. Soc. A 461 (2005) 1383), so its cost per time
-  is one short sum per panel at every t.  When the peak half-width drops
-  below float resolution of the node positions (tiny couplings), an inner
-  window around the peak switches to offset-based nodes with a local
-  quadratic model of the real part, which stays exact where direct
-  evaluation would suffer total cancellation.  The real part of alpha_plus
-  needs the principal value of the resolvent integral at every node outside
-  that window; all of them come from one call of the model's Cauchy rule
-  (:func:`~oscbath.quadrature.pv_integral_many`), and the window's X' and
-  X'' from the same rule in closed form.
+  is one short sum per panel at every t (:func:`filon_sums`, summed inside
+  the j_k recurrences up to the order where j_k drops below rounding).  When
+  the peak half-width drops below float resolution of the node positions
+  (tiny couplings), an inner window around the peak switches to offset-based
+  nodes with a local quadratic model of the real part, which stays exact
+  where direct evaluation would suffer total cancellation.  The real part of
+  alpha_plus needs the principal value of the resolvent integral at every
+  node outside that window; all of them come from one call of the model's
+  Cauchy rule (:func:`~oscbath.quadrature.pv_integral_many`), and the
+  window's X' and X'' from the same rule in closed form.  This table gives
+  the amplitude; the ray table checks it.
 
 * :class:`RayTable` holds nodes on the rotated ray z = s * exp(-i*theta)
   carrying the deformed background integrand
@@ -53,7 +55,9 @@ _NODES_PER_PANEL = 24         # Gauss nodes per panel of both tables
 _INNER_NODES = 20             # Gauss nodes per panel of the spectral table's offset window
 _RAD_PER_NODE = 0.8           # ray table: phase budget per node at the largest requested time
 _SERIES_EDGE = 1e-3           # j_k: argument below which the power series is used
-_MILLER_EXTRA = 20            # j_k: Miller recurrence starts this far above the highest order
+_JN_GROUPS = (0.5, 3.0)       # j_k: edges of the argument groups between 1e-3 and n
+_JN_DROP = 2.0**-53           # j_k: orders whose bound a^k/(2k+1)!! falls below this are dropped
+_PAIRS = _BLOCK // 8          # spectral amplitude: panel-time pairs per block
 _INNER_CUT = 1e-5             # peak half-width below which the offset window is used
 _INNER_SPAN = 1e4             # offset window half-span, in peak half-widths
 _RAY_TAIL_TOL = 1e-13         # ray truncation: Gaussian tail bound
@@ -188,67 +192,70 @@ def _anchor_sums(anchors, rates, weights) -> np.ndarray:
     return out
 
 
-def spherical_jn(n: int, a) -> np.ndarray:
-    """j_0(a), ..., j_{n-1}(a) at a 1-d array of a >= 0, as an (n, a.size) array.
+def filon_sums(coef, a) -> np.ndarray:
+    """sum_k coef[p, k] (-i)^k j_k(a[p, t]) at a 2-d array a >= 0, one row per row of coef.
 
-    Upward recurrence from sin and cos where a > n; Miller's downward
-    recurrence, normalised by sum_k (2k+1) j_k^2 = 1, for 1e-3 <= a <= n;
-    and the series a^k/(2k+1)!! * (1 - h/(2k+3) + h^2/(2(2k+3)(2k+5))),
-    h = a^2/2, below 1e-3, which divides by nothing at a = 0.  Its third
-    term keeps j_0 exact to rounding at the switch, where the first two
-    alone are off by a^4/120 = 8e-15.  Each branch runs on its own
-    arguments, gathered before its loop.
+    The sums grow inside the recurrences that make the j_k.  The arguments go
+    in groups split at 1e-3, ``_JN_GROUPS`` and n = coef.shape[1]; a group
+    stops at the first order where j_k's bound a^k/(2k+1)!!, at its largest a,
+    is below ``_JN_DROP``.  Below 1e-3 the series a^k/(2k+1)!! * (1 - h/(2k+3)
+    + h^2/(2(2k+3)(2k+5))), h = a^2/2, exact to rounding; from n up the upward
+    recurrence from j_{-1} = cos a / a and j_0 = sin a / a.  In between,
+    Miller's downward recurrence from a^K/(2K+1)!! ~ j_K(a), near unit scale,
+    at the order K where that bound is below sqrt(``_JN_DROP``): the start's
+    error is about its square.  Its sums are scaled by the least-squares fit
+    of its first two values to j_0 and j_1 = (j_0 - cos a)/a (never both 0).
     """
-    a = np.asarray(a, dtype=float)
-    out = np.empty((n, a.size))
-    small = a < _SERIES_EDGE
-    up = a > n
-    for branch, mask in ((_jn_series, small), (_jn_upward, up), (_jn_miller, ~(small | up))):
-        idx = np.nonzero(mask)[0]
-        if idx.size:
-            out[:, idx] = branch(n, a[idx])
-    return out
+    n = coef.shape[1]
+    signed = np.ascontiguousarray((coef * np.array([1.0, -1.0, -1.0, 1.0])[np.arange(n) % 4]).T)
+    flat = a.ravel()
+    re, im = np.empty(flat.size), np.empty(flat.size)  # from the even and the odd orders
+    edges = np.minimum([_SERIES_EDGE, *_JN_GROUPS, n], n)  # sorted for any n >= 1
+    group = np.searchsorted(edges, flat, side="right")
+    for g in np.flatnonzero(np.bincount(group)):
+        idx = np.flatnonzero(group == g)
+        x = flat[idx]
+        sums = _series_sums if g == 0 else _upward_sums if g == edges.size else _miller_sums
+        re[idx], im[idx] = sums(x, signed[:_first_below(x.max(), _JN_DROP, n)], idx // a.shape[1])
+    return (re + 1j * im).reshape(a.shape)
 
 
-def _jn_series(n: int, a):
-    out = np.empty((n, a.size))
-    term = np.ones(a.size)  # a^k / (2k+1)!!
-    h = 0.5 * a * a
-    for k in range(n):
-        out[k] = term * (1.0 - h / (2 * k + 3) * (1.0 - 0.5 * h / (2 * k + 5)))
-        term = term * a / (2 * k + 3)
-    return out
+def _first_below(a: float, tol: float, cap=math.inf) -> int:
+    """The first order k where a^k/(2k+1)!! < tol, or cap if that comes first."""
+    bound, k = 1.0, 0
+    while k < cap and bound >= tol:
+        bound, k = bound * a / (2 * k + 3), k + 1
+    return k
 
 
-def _jn_upward(n: int, a):
-    out = np.empty((max(n, 2), a.size))
-    inv = 1.0 / a
-    out[0] = np.sin(a) * inv
-    out[1] = (out[0] - np.cos(a)) * inv
-    for k in range(1, n - 1):
-        out[k + 1] = (2 * k + 1) * inv * out[k] - out[k - 1]
-    return out[:n]
+def _series_sums(x, signed, rows):
+    sums, term, h = [np.zeros(x.size), np.zeros(x.size)], np.ones(x.size), 0.5 * x * x
+    for k, c in enumerate(signed):  # term = x^k / (2k+1)!!
+        sums[k & 1] += term * (1.0 - h / (2 * k + 3) * (1.0 - 0.5 * h / (2 * k + 5))) * c.take(rows)
+        term = term * x / (2 * k + 3)
+    return sums
 
 
-def _jn_miller(n: int, a):
-    # Starting at order K from a^K/(2K+1)!!, about the size of j_K(a), keeps
-    # every value near unit scale for a in [1e-3, n]: no overflow, no rescaling.
-    K = n + _MILLER_EXTRA
-    out = np.empty((max(n, 2), a.size))
-    inv = 1.0 / a
-    f = np.exp(K * np.log(a) - np.sum(np.log(2.0 * np.arange(K + 1) + 1.0)))
-    above = np.zeros(a.size)
-    norm = (2 * K + 1) * f * f
-    for k in range(K, 0, -1):
-        f, above = (2 * k + 1) * inv * f - above, f
-        norm += (2 * k - 1) * f * f
-        if k <= out.shape[0]:
-            out[k - 1] = f
-    # the normalisation fixes the magnitude; the sign is that of j_0, j_1
-    j0 = np.sin(a) * inv
-    j1 = (j0 - np.cos(a)) * inv
-    out *= np.copysign(1.0 / np.sqrt(norm), out[0] * j0 + out[1] * j1)
-    return out[:n]
+def _upward_sums(x, signed, rows):
+    sums, inv = [np.zeros(x.size), np.zeros(x.size)], 1.0 / x
+    below, f = np.cos(x) * inv, np.sin(x) * inv
+    for k, c in enumerate(signed):
+        sums[k & 1] += f * c.take(rows)
+        below, f = f, (2 * k + 1) * inv * f - below
+    return sums
+
+
+def _miller_sums(x, signed, rows):
+    K = max(len(signed), _first_below(x.max(), math.sqrt(_JN_DROP)))
+    sums, inv = [np.zeros(x.size), np.zeros(x.size)], 1.0 / x
+    f, above = np.exp(K * np.log(x) - np.sum(np.log(2.0 * np.arange(K + 1) + 1.0))), 0.0
+    for k in range(K - 1, -1, -1):  # f becomes j_k up to a common scale
+        f, above = (2 * k + 3) * inv * f - above, f
+        if k < len(signed):
+            sums[k & 1] += f * signed[k].take(rows)
+    j0 = np.sin(x) * inv
+    scale = (j0 * f + (j0 - np.cos(x)) * inv * above) / (f * f + above * above)
+    return sums[0] * scale, sums[1] * scale
 
 
 @dataclass
@@ -281,22 +288,14 @@ class SpectralTable:
     def amplitude(self, times) -> np.ndarray:
         t = np.atleast_1d(np.asarray(times, dtype=float))
         flat = t.ravel()
-        n = self.moments.shape[1]
-        k = np.arange(n)
-        # (2k+1)(-i)^k m_k: real for even k, imaginary for odd k
-        coef = (2 * k + 1) * np.where(k % 4 < 2, 1.0, -1.0) * self.moments
-        even, odd = coef[:, 0::2], -coef[:, 1::2]
+        coef = (2 * np.arange(self.moments.shape[1]) + 1) * self.moments
         out = np.zeros(flat.size, dtype=complex)
-        pairs = max(1, _BLOCK // n)  # panel-time pairs per block of j_k values
-        tc = max(1, min(flat.size, pairs))
-        pc = max(1, pairs // tc)
+        tc = max(1, min(flat.size, _PAIRS))
+        pc = max(1, _PAIRS // tc)
         for i in range(0, flat.size, tc):
             ts = flat[i:i + tc]
             for p in range(0, self.centres.size, pc):
-                h = self.halfwidths[p:p + pc]
-                jn = spherical_jn(n, np.outer(h, ts).ravel()).reshape(n, h.size, ts.size)
-                inner = (np.einsum("pk,kpt->pt", even[p:p + pc], jn[0::2])
-                         + 1j * np.einsum("pk,kpt->pt", odd[p:p + pc], jn[1::2]))
+                inner = filon_sums(coef[p:p + pc], np.outer(self.halfwidths[p:p + pc], ts))
                 phase = np.exp(-1j * np.outer(self.centres[p:p + pc], ts))
                 out[i:i + tc] += np.einsum("pt,pt->t", phase, inner)
         return out.reshape(t.shape)

@@ -48,7 +48,8 @@ class OscillatorState:
     def __post_init__(self):
         if not (0.0 <= self.c11 <= 1.0):
             raise ValueError("c11 must lie in [0, 1]")
-        if not self.c11 * self.c00 + _POSITIVITY_TOL >= abs(self.c10) ** 2:  # NaN fails too
+        small = abs(self.c10.real) <= 1.0 and abs(self.c10.imag) <= 1.0  # else abs() may overflow
+        if not (small and self.c11 * self.c00 + _POSITIVITY_TOL >= abs(self.c10) ** 2):  # NaN too
             raise ValueError("initial state violates positivity: c11*c00 < |c10|^2")
 
     @property

@@ -7,13 +7,14 @@ the one-quantum state:
 * ``Decay.amplitude_spectral`` integrates the real-axis spectral
   representation Delta0(t) = int_0^inf w(omega) exp(-i omega t) domega with
   the weight w = lam^2 g2 / |alpha_plus|^2 (a probability density; its total
-  mass is the sum rule).
+  mass is the sum rule).  This route answers: density and Zeno numbers.
 * ``Decay.amplitude_pole_background`` extracts the resonance residue
   exp(-i z0 t) / alpha'(z0) and evaluates the remainder on a ray rotated
   into the lower half-plane, where the integrand decays for every t >= 0.
+  It carries the pole/background split that the phase fits read.
 
-Their pointwise agreement is the load-bearing correctness check for the
-whole contour bookkeeping and is enforced in the test suite.
+The second route checks the first: their pointwise agreement over the
+survival grid is the load-bearing check of the whole contour bookkeeping.
 """
 
 from __future__ import annotations

@@ -76,7 +76,7 @@ def test_survival_table_is_the_sum_rule_table(monkeypatch, tmp_path, capsys):
 
 # resonance searches, spectral tables and ray tables of each reference run
 @pytest.mark.parametrize("command, searches, spectral, rays", [
-    ("pole", 1, 0, 0), ("survival", 1, 1, 1), ("density", 1, 0, 1), ("sweep", 3, 0, 0)])
+    ("pole", 1, 0, 0), ("survival", 1, 1, 1), ("density", 1, 1, 0), ("sweep", 3, 0, 0)])
 def test_traced_runs_keep_every_layer(monkeypatch, tmp_path, capsys, command, searches,
                                       spectral, rays):
     # the solver object calls each layer through the names the tracer wraps

@@ -15,6 +15,7 @@ import pytest
 import oscbath
 import oscbath.cli as cli
 from oscbath.errors import ConfigError, DensityInvariantViolated
+from oscbath.oracle import Scheme, discretize, oracle_amplitude, recurrence_time
 from oscbath.quadrature import CauchyRule
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -188,18 +189,13 @@ def test_survival_report(cfg_path, tmp_path, capsys):
     assert report["gamma_fit"] == pytest.approx(report["gamma"], rel=0.02)
     assert report["dual_method_sup"] < 1e-6
     assert report["t_zeno"] < report["t_khalfin"]
-    header = (out / "survival.csv").read_text().splitlines()[0]
-    assert header == "t,re_delta0,im_delta0,P,Gamma,method"
-    capsys.readouterr()
-
-
-def test_survival_short_spectral_window(cfg_path, tmp_path, capsys):
-    # the Zeno ladder reaches past a spectral window of 1e-6 lifetimes
-    out = tmp_path / "out"
-    assert run(["survival", "--config", cfg_path, "--out", out,
-                "--override", "spectral_t_max_gamma=1e-6"]) == 0
-    report = json.loads((out / "survival.json").read_text())
     assert report["zeno_quadratic"] == pytest.approx(0.125, rel=1e-12)
+    lines = (out / "survival.csv").read_text().splitlines()
+    assert lines[0] == "t,re_delta0,im_delta0,P,Gamma,method"
+    # both routes cover the whole grid, and the dual check compares them there
+    rows = [line.split(",") for line in lines[1:]]
+    spectral = [row[0] for row in rows if row[-1] == "spectral"]
+    assert spectral == [row[0] for row in rows if row[-1] == "pole_background"]
     capsys.readouterr()
 
 
@@ -264,16 +260,28 @@ STEEP_POLE_MODELS = [
 ]
 
 
+# |Delta0| - 1 of each model's spectral table: its sum defect
+STEEP_POLE_EXCESS = [1.80e-8, 4.07e-7]
+
+
 @pytest.mark.parametrize("command", ["survival", "density"])
 @pytest.mark.parametrize("params", STEEP_POLE_MODELS)
 def test_steep_pole_on_ray_exit_1(tmp_path, capsys, command, params):
+    # survival's ray cannot pass below the pole; density builds no ray, and
+    # its spectral amplitude exceeds the unit bound by the sum defect
     p = tmp_path / "steep.cfg"
     p.write_text("".join(f"{key} = {value!r}\n" for key, value in
                          zip(("omega", "lambda", "exponent", "cutoff"), params)))
     assert run([command, "--config", p, "--out", tmp_path / "out"]) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "PoleOnRay"
-    assert "pi/4" in err["message"]
+    if command == "survival":
+        assert err["error"] == "PoleOnRay"
+        assert "pi/4" in err["message"]
+    else:
+        assert err["error"] == "AmplitudeOutOfRange"
+        excess = float(err["message"].split()[2]) - 1.0
+        assert excess == pytest.approx(STEEP_POLE_EXCESS[STEEP_POLE_MODELS.index(params)],
+                                       rel=0.01)
 
 
 def test_density_outputs(cfg_path, tmp_path, capsys):
@@ -307,17 +315,50 @@ def test_density_amplitude_bound_checked_first(cfg_path, tmp_path, monkeypatch, 
     # the positivity: an amplitude of 1.5 at the last time wins over a
     # positivity demand that fails at t = 0
     def out_of_range_at_end(*args, **kwargs):
-        series = pole_background(*args, **kwargs)
+        series = spectral(*args, **kwargs)
         series.delta0[-1] = 1.5
         return series
 
-    pole_background = cli.Decay.amplitude_pole_background
-    monkeypatch.setattr(cli.Decay, "amplitude_pole_background", out_of_range_at_end)
+    spectral = cli.Decay.amplitude_spectral
+    monkeypatch.setattr(cli.Decay, "amplitude_spectral", out_of_range_at_end)
     code = run(["density", "--config", cfg_path, "--out", tmp_path / "out", *overrides])
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "AmplitudeOutOfRange"
     assert err["message"] == "|Delta0| = 1.5 exceeds the unit bound"
+
+
+# seed 3's density12 model of the benchmark, (omega, lambda, exponent, cutoff):
+# its pole+background amplitude is off by 0.30
+DENSITY12 = (1.314983291250635, 0.2872554125771939, 2.118277196713841, 4.32239565200586)
+
+
+def test_density_matches_finite_bath(tmp_path, capsys):
+    # rho11 = c11 |Delta0|^2 against a uniform bath of 2000 modes, at the grid
+    # times within a fifth of its recurrence time
+    p = tmp_path / "density12.cfg"
+    p.write_text("".join(f"{key} = {value!r}\n" for key, value in
+                         zip(("omega", "lambda", "exponent", "cutoff"), DENSITY12)))
+    out = tmp_path / "out"
+    assert run(["density", "--config", p, "--out", out]) == 0
+    t, rho11 = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1, usecols=(0, 1)).T
+    decay = cli.build_runconfig(cli.parse_config_file(p)).decay()
+    bath = discretize(decay.model, 2000, decay.truncation, Scheme.UNIFORM)
+    near = t <= 0.2 * recurrence_time(bath)
+    assert np.count_nonzero(near) >= 30
+    exact = np.abs(oracle_amplitude(bath, t[near]).delta0) ** 2
+    assert np.max(np.abs(rho11[near] - exact)) < 1e-6
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("overrides", [["re_c10=1e200"], ["re_c10=1.7e308", "im_c10=1.7e308"]])
+def test_density_huge_coherence_exit_2(cfg_path, tmp_path, capsys, overrides):
+    # a coherence far outside the state space is refused before it is squared
+    args = ["density", "--config", cfg_path, "--out", tmp_path / "out"]
+    for item in overrides:
+        args += ["--override", item]
+    assert run(args) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
 def test_density_exit_5_wiring(cfg_path, tmp_path, monkeypatch, capsys):
@@ -488,8 +529,6 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
     ("survival", "ray_theta=0"),
     ("survival", "ray_theta=0.7853981633974483"),
     ("survival", "ray_theta=1"),
-    ("survival", "spectral_t_max_gamma=-1"),
-    ("survival", "spectral_t_max_gamma=0"),
     ("oracle", "oracle_window_fraction=0"),
     ("oracle", "oracle_omega_max=inf"),
     ("oracle", "oracle_n=,"),

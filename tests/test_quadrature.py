@@ -12,7 +12,7 @@ from scipy.optimize import brentq as scipy_brentq
 
 import oscbath as ob
 import oscbath.quadrature as quadrature
-from oscbath._tables import axis_profile, build_spectral_table, spherical_jn
+from oscbath._tables import _JN_GROUPS, axis_profile, build_spectral_table, filon_sums
 from oscbath.errors import NoConvergence, QuadratureFailure
 from oscbath.quadrature import CauchyRule, _brentq, adaptive_complex_quad, pv_integral_many
 from oscbath.selfenergy import _alpha
@@ -326,14 +326,32 @@ JN_ARGS = [0.0, 1e-12, 1e-3 * (1 - 1e-9), 1e-3 * (1 + 1e-9), 0.02, 0.7, 3.0, 11.
            math.pi, 2 * math.pi, 7 * math.pi, 8 * math.pi, 9 * math.pi, 1e4]
 
 
+def mp_jn(k, a):
+    return (mp.mpf(1 if k == 0 else 0) if a == 0.0 else
+            mp.sqrt(mp.pi / (2 * mp.mpf(a))) * mp.besselj(k + mp.mpf(1) / 2, a))
+
+
 def test_spherical_bessel_against_mpmath():
-    got = spherical_jn(24, np.array(JN_ARGS))
+    # the unit coefficient vector e_k turns the Filon sum into (-i)^k j_k
+    got = filon_sums(np.eye(24), np.tile(JN_ARGS, (24, 1)))
     with mp.workdps(40):
         for i, a in enumerate(JN_ARGS):
             for k in range(24):
-                ref = (mp.mpf(1 if k == 0 else 0) if a == 0.0 else
-                       mp.sqrt(mp.pi / (2 * mp.mpf(a))) * mp.besselj(k + mp.mpf(1) / 2, a))
-                assert abs(got[k, i] - float(ref)) < 1e-14, (k, a)
+                assert abs(got[k, i] * 1j**k - float(mp_jn(k, a))) < 1e-14, (k, a)
+
+
+def test_filon_sums_at_group_edges_against_mpmath():
+    # random coefficients at and on both sides of every branch and group edge,
+    # three arguments to a row; the error is relative to sum_k |c_k|
+    edges = [1e-3, *_JN_GROUPS, 24.0]
+    args = np.array([[e * (1 - 1e-9), e, e * (1 + 1e-9)] for e in edges])
+    coef = np.random.default_rng(5).normal(size=(len(edges), 24))
+    got = filon_sums(coef, args)
+    with mp.workdps(40):
+        for p, row in enumerate(args):
+            for i, a in enumerate(row):
+                ref = mp.fsum(mp.mpf(c) * (-1j)**k * mp_jn(k, a) for k, c in enumerate(coef[p]))
+                assert abs(got[p, i] - complex(ref)) < 1e-14 * np.abs(coef[p]).sum(), (p, a)
 
 
 def _axis_models():
