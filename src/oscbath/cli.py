@@ -63,6 +63,10 @@ from .survival import (
 )
 
 _REQUIRED = object()
+# The tail fit starts at 1.5 t_khalfin, where the pole term lies far below the
+# background, and runs only when the grid reaches 1.5 times past that start.
+_PAST_CROSSOVER = 1.5
+_GRID_SHARE = 0.4  # nor does it start before 0.4 t_end: 80-200 lifetimes on the default grid
 
 
 def _conv(parse, domain, ok=None):
@@ -113,8 +117,6 @@ _SCHEMA = {
     "dual_tol": (_POSITIVE, 1e-6),
     "gamma_fit_lo": (_FINITE, 2.0),
     "gamma_fit_hi": (_FINITE, 6.0),
-    "khalfin_lo": (_FINITE, 80.0),
-    "khalfin_hi": (_FINITE, 200.0),
     "zeno_threshold": (_FINITE, 0.9),
     "oracle_n": (_conv(lambda s: tuple(sorted({int(tok) for tok in _items(s)})),
                       "a nonempty comma list of integers", bool), (500, 1000, 2000, 4000)),
@@ -191,9 +193,9 @@ def build_runconfig(raw: dict, overrides=()) -> RunConfig:
             raise ConfigError(f"missing required key {key!r}")
         else:
             values[key] = default
-    for lo, hi in (("gamma_fit_lo", "gamma_fit_hi"), ("khalfin_lo", "khalfin_hi")):
-        if not 0.0 < values[lo] < values[hi]:
-            raise ConfigError(f"need 0 < {lo} < {hi}, got {values[lo]!r} and {values[hi]!r}")
+    lo, hi = values["gamma_fit_lo"], values["gamma_fit_hi"]
+    if not 0.0 < lo < hi:
+        raise ConfigError(f"need 0 < gamma_fit_lo < gamma_fit_hi, got {lo!r} and {hi!r}")
     try:
         OscillatorState(c11=values["c11"], c10=complex(values["re_c10"], values["im_c10"]))
     except ValueError as exc:
@@ -236,10 +238,7 @@ def _resonance(cfg: RunConfig, decay: Decay) -> Resonance:
 
 
 def _time_grid(cfg: RunConfig, gamma: float):
-    if cfg["t_max_abs"] is not None:
-        t_max = cfg["t_max_abs"]
-    else:
-        t_max = cfg["t_max_gamma"] / gamma
+    t_max = cfg["t_max_abs"] or cfg["t_max_gamma"] / gamma
     if cfg["spacing"] == "linear":
         return np.linspace(0.0, t_max, cfg["n_points"])
     return hybrid_time_grid(cfg["omega"], gamma, t_max, cfg["n_points"])
@@ -286,14 +285,15 @@ def cmd_survival(cfg: RunConfig, out: Path) -> dict:
     zeno = zeno_slope(decay)
 
     gamma_fit = exponential_rate_fit(pb, gamma, (cfg["gamma_fit_lo"], cfg["gamma_fit_hi"]))
-    khalfin = None
-    k_window = (cfg["khalfin_lo"] / gamma, cfg["khalfin_hi"] / gamma)
-    if grid.max() >= k_window[1] * (1 - 1e-9):
-        khalfin = khalfin_exponent(pb, k_window)
     try:
         t_zeno, t_khalfin = crossover_times(res, pb, threshold=cfg["zeno_threshold"])
     except CrossoverNotBracketed:
         t_zeno = t_khalfin = None
+    khalfin, t_end = None, grid[-1]
+    if t_khalfin is not None:
+        lo = max(_PAST_CROSSOVER * t_khalfin, _GRID_SHARE * t_end)
+        if _PAST_CROSSOVER * lo <= t_end:
+            khalfin = khalfin_exponent(pb, (lo, t_end))
 
     rows = []
     for series, method in ((sp, "spectral"), (pb, "pole_background")):

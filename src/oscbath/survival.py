@@ -94,8 +94,8 @@ def _validated_grid(tgrid) -> np.ndarray:
     t = np.asarray(tgrid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
-    if np.any(t < 0) or np.any(np.diff(t) <= 0):
-        raise ValueError("time grid must be ascending and nonnegative")
+    if not (np.all(np.isfinite(t)) and t[0] >= 0 and np.all(np.diff(t) > 0)):
+        raise ValueError("time grid must be finite, ascending and nonnegative")
     return t
 
 

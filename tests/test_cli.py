@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -40,6 +41,14 @@ def cfg_path(tmp_path):
 
 def run(args):
     return cli.main([str(a) for a in args])
+
+
+def model_cfg(tmp_path, params):
+    """A config file holding one (omega, lambda, exponent, cutoff) model."""
+    path = tmp_path / "model.cfg"
+    path.write_text("".join(f"{key} = {value!r}\n" for key, value in
+                            zip(("omega", "lambda", "exponent", "cutoff"), params)))
+    return path
 
 
 def test_pole_report(cfg_path, tmp_path, capsys):
@@ -201,7 +210,7 @@ def test_survival_report(cfg_path, tmp_path, capsys):
 
 def test_survival_absolute_time_span(tmp_path, capsys):
     # an absolute span of 50 replaces the lifetime-scaled one and ends before
-    # the Khalfin window at 80/gamma
+    # the Khalfin crossover, so no tail is fitted
     out = tmp_path / "out"
     assert run(["survival", "--config", CONFIGS / "reference.cfg", "--out", out,
                 "--override", "t_max_abs=50"]) == 0
@@ -220,6 +229,48 @@ def test_survival_crossover_not_bracketed(tmp_path, capsys):
     assert report["t_zeno"] is None
     assert report["t_khalfin"] is None
     capsys.readouterr()
+
+
+# survival07 and survival13 of the benchmark's decay_phases jobs at seed 3:
+# long-lived models whose crossover lies past 80 lifetimes
+LATE_CROSSOVER_MODELS = {
+    "survival07": (0.5350106401262051, 0.018718646028297228, 1.9998892042116694,
+                   8.431740219348837),
+    "survival13": (0.9242823536284637, 0.003703903132941654, 2.709637661197955,
+                   7.360923263001053),
+}
+
+
+def test_survival_tail_fit_past_crossover(tmp_path, capsys):
+    # the fit starts at 1.5 t_khalfin, past the pole term, and finds -2(n+1)
+    params = LATE_CROSSOVER_MODELS["survival07"]
+    out = tmp_path / "out"
+    assert run(["survival", "--config", model_cfg(tmp_path, params), "--out", out]) == 0
+    report = json.loads((out / "survival.json").read_text())
+    assert report["gamma"] * report["t_khalfin"] > 80.0 / 1.5
+    assert report["khalfin_exponent"] == pytest.approx(-2.0 * (params[2] + 1.0), abs=1e-3)
+    capsys.readouterr()
+
+
+def test_survival_crossover_too_late_for_a_tail_fit(tmp_path, capsys):
+    # the crossover lies at 126 lifetimes, so the grid ends within a factor 1.5
+    # of the fit's start: the exponent is null, the crossover is still reported
+    out = tmp_path / "out"
+    config = model_cfg(tmp_path, LATE_CROSSOVER_MODELS["survival13"])
+    assert run(["survival", "--config", config, "--out", out]) == 0
+    report = json.loads((out / "survival.json").read_text())
+    assert report["khalfin_exponent"] is None
+    assert report["t_khalfin"] is not None
+    assert report["gamma"] * report["t_khalfin"] > 200.0 / 1.5**2
+    capsys.readouterr()
+
+
+def test_survival_wrong_ray_amplitude_fails_dual_check(tmp_path, capsys):
+    # at exponent 3 the ray route loses a second zero of alpha_II; its amplitude
+    # brackets no crossover, so no tail fit runs and the dual check names the fault
+    assert run(["survival", "--config", CONFIGS / "reference.cfg", "--out", tmp_path / "out",
+                "--override", "exponent=3"]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "DualMethodMismatch"
 
 
 def test_survival_dual_mismatch_exit_4(cfg_path, tmp_path, capsys):
@@ -269,10 +320,8 @@ STEEP_POLE_EXCESS = [1.80e-8, 4.07e-7]
 def test_steep_pole_on_ray_exit_1(tmp_path, capsys, command, params):
     # survival's ray cannot pass below the pole; density builds no ray, and
     # its spectral amplitude exceeds the unit bound by the sum defect
-    p = tmp_path / "steep.cfg"
-    p.write_text("".join(f"{key} = {value!r}\n" for key, value in
-                         zip(("omega", "lambda", "exponent", "cutoff"), params)))
-    assert run([command, "--config", p, "--out", tmp_path / "out"]) == 1
+    assert run([command, "--config", model_cfg(tmp_path, params),
+                "--out", tmp_path / "out"]) == 1
     err = json.loads(capsys.readouterr().err)
     if command == "survival":
         assert err["error"] == "PoleOnRay"
@@ -336,9 +385,7 @@ DENSITY12 = (1.314983291250635, 0.2872554125771939, 2.118277196713841, 4.3223956
 def test_density_matches_finite_bath(tmp_path, capsys):
     # rho11 = c11 |Delta0|^2 against a uniform bath of 2000 modes, at the grid
     # times within a fifth of its recurrence time
-    p = tmp_path / "density12.cfg"
-    p.write_text("".join(f"{key} = {value!r}\n" for key, value in
-                         zip(("omega", "lambda", "exponent", "cutoff"), DENSITY12)))
+    p = model_cfg(tmp_path, DENSITY12)
     out = tmp_path / "out"
     assert run(["density", "--config", p, "--out", out]) == 0
     t, rho11 = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1, usecols=(0, 1)).T
@@ -521,7 +568,7 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
     ("density", "c11=2"),
     ("survival", "n_points=8"),
     ("survival", "t_max_gamma=-1"),
-    ("survival", "khalfin_lo=300"),
+    ("survival", "khalfin_lo=300"),  # retired: the run places its Khalfin window itself
     ("survival", "gamma_fit_lo=7"),
     ("survival", "gamma_fit_lo=-1"),
     ("survival", "ray_theta=2"),
@@ -555,14 +602,30 @@ def test_decoupled_pole_checks_truncation(cfg_path, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
-@pytest.mark.parametrize("key", sorted(cli._SCHEMA) + ["abs_tol", "max_subdivisions", "rel_tol"])
+RETIRED_KEYS = ["abs_tol", "max_subdivisions", "rel_tol", "khalfin_hi", "khalfin_lo"]
+
+
+@pytest.mark.parametrize("key", sorted(cli._SCHEMA) + RETIRED_KEYS)
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_schema_rejects_nonfinite(key, value):
     # every key checks its own domain as the config is read; the retired
-    # adaptive-quadrature keys are refused by name
+    # adaptive-quadrature and Khalfin-window keys are refused by name
     raw = cli.parse_config_file(CONFIGS / "reference.cfg")
     with pytest.raises(ConfigError, match=key):
         cli.build_runconfig(raw, [f"{key}={value}"])
+
+
+def test_readme_key_table_names_every_schema_key():
+    # the first column of README's config-key table, with `x_lo/hi` standing
+    # for x_lo and x_hi, lists exactly the keys that the config reader knows
+    text = (ROOT / "README.md").read_text()
+    table = text[text.index("| key | default |"):].split("\n\n")[0].splitlines()[2:]
+    keys = set()
+    for row in table:
+        for name in re.findall(r"`([a-z0-9_/]+)`", row.split("|")[1]):
+            stem, slash, _ = name.partition("_lo/")
+            keys |= {stem + "_lo", stem + "_hi"} if slash else {name}
+    assert keys == set(cli._SCHEMA)
 
 
 def test_truncation_multiple_checked_in_schema():

@@ -381,6 +381,19 @@ def test_phase_report_ordering_invariant():
                        khalfin_exponent=-4.0, t_zeno=10.0, t_khalfin=1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("route", ["spectral", "pole_background"])
+def test_nonfinite_times_refused(m1_decay, m1_resonance, route, bad):
+    # a NaN or an infinite time would size the ray table from t_max = nan or
+    # inf and return a wrong Delta0(0), or NaN rows from the spectral table
+    times = [0.0, 1.0, bad]
+    with pytest.raises(ValueError, match="finite"):
+        if route == "spectral":
+            m1_decay.amplitude_spectral(times)
+        else:
+            m1_decay.amplitude_pole_background(m1_resonance, times)
+
+
 def test_ray_angle_not_below_pole(m1_decay, m1_resonance):
     # the angle is used as given; one that does not pass below the pole fails
     # with a message that names the admissible interval
