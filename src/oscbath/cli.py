@@ -119,7 +119,8 @@ _SCHEMA = {
     "gamma_fit_hi": (_FINITE, 6.0),
     "zeno_threshold": (_FINITE, 0.9),
     "oracle_n": (_conv(lambda s: tuple(sorted({int(tok) for tok in _items(s)})),
-                      "a nonempty comma list of integers", bool), (500, 1000, 2000, 4000)),
+                      "a nonempty comma list of integers >= 2", lambda v: v and v[0] >= 2),
+                 (500, 1000, 2000, 4000)),
     "oracle_omega_max": (_POSITIVE, None),
     "oracle_scheme": (_choice("uniform", "gauss"), "uniform"),
     "oracle_window_fraction": (_POSITIVE, 0.2),

@@ -26,13 +26,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ._tables import node_sum
 from .errors import EigensolveFailure, InvalidDiscretization
 from .model import ModelParams, spectral_weight
-from .quadrature import _BLOCK, gauss_panels
+from .quadrature import _BLOCK
 from .survival import AmplitudeSeries
 
 __all__ = ["Scheme", "DiscreteBath", "arrow_eigensystem", "discretize", "oracle_amplitude",
@@ -41,6 +42,7 @@ __all__ = ["Scheme", "DiscreteBath", "arrow_eigensystem", "discretize", "oracle_
 _EPS = np.finfo(float).eps
 _DEFLATE = 8.0 * _EPS   # coupling or mode gap (of the rescaled matrix) below which a mode deflates
 _MAX_SWEEPS = 100       # roots take 4 to 8 sweeps; the cap only ends a failed solve
+_NEWTON_STEPS = 10      # Gauss-Legendre nodes take 3 or 4 Newton steps; the cap ends a runaway
 _ROOTS = 128            # roots per block, sharing near poles and a far table (fastest of 24-192)
 _SEPARATION = 0.5       # a pole is far from a block at this multiple of the block's width
 # A far pole lies at |x| >= 1 + 2 * _SEPARATION = 2 in the block's coordinate
@@ -260,13 +262,52 @@ def _secular_roots(a: float, d: np.ndarray, z2: np.ndarray):
     return energies, weights
 
 
+@lru_cache(maxsize=32)
+def _gauss_legendre(n: int):
+    """Read-only ascending nodes and weights of the n-point Gauss-Legendre
+    rule on [-1, 1], in O(n) memory and O(n^2) time.
+
+    Newton's method on P_n, with P_n and P_n' from the three-term
+    recurrence, refines Tricomi's guesses for the nonnegative nodes; the
+    others follow by symmetry, and for odd n the middle node is exactly 0.
+    The weights are 2 / ((1 - x^2) P_n'(x)^2), with P_n' evaluated at the
+    final nodes (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013) A652).
+    ``numpy.polynomial.legendre.leggauss`` gives the same nodes from an
+    n x n companion eigensolve (Golub & Welsch 1969), in O(n^3) time and
+    O(n^2) memory, with weights less accurate near the ends.
+    """
+    theta = np.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4.0 * n + 2.0)
+    x = (1.0 - (n - 1.0) / (8.0 * n**3)) * np.cos(theta)  # descending
+    if n % 2:
+        x[-1] = 0.0
+
+    def legendre(x):
+        p0, p1 = np.ones_like(x), x
+        for j in range(1, n):
+            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+
+    for _ in range(_NEWTON_STEPS):
+        p, dp = legendre(x)
+        step = p / dp
+        x = x - step
+        if np.abs(step).max() <= _EPS:
+            break
+    _, dp = legendre(x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    nodes = np.concatenate([-x[:n // 2], x[::-1]])
+    weights = np.concatenate([w[:n // 2], w[::-1]])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def discretize(model: ModelParams, N: int, omega_max: float,
                scheme: Scheme = Scheme.GAUSS) -> DiscreteBath:
     """Build the N-mode bath on [0, omega_max].
 
     Uniform uses midpoint nodes with equal weights (clean revivals at
     2*pi/spacing); Gauss uses Gauss-Legendre nodes (spectral convergence of
-    the level-shift function).
+    the level-shift function), made by :func:`_gauss_legendre`.
     """
     if N < 2:
         raise InvalidDiscretization("need at least 2 bath modes")
@@ -279,7 +320,9 @@ def discretize(model: ModelParams, N: int, omega_max: float,
         freqs = (np.arange(N) + 0.5) * step
         wq = np.full(N, step)
     else:
-        freqs, wq = gauss_panels(np.array([0.0, omega_max]), N)
+        x, w = _gauss_legendre(N)
+        half = 0.5 * omega_max
+        freqs, wq = half + half * x, half * w
     couplings = model.lam * np.sqrt(spectral_weight(model, freqs) * wq)
     return DiscreteBath(model=model, frequencies=freqs, couplings=couplings)
 

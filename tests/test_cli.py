@@ -579,6 +579,9 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
     ("oracle", "oracle_window_fraction=0"),
     ("oracle", "oracle_omega_max=inf"),
     ("oracle", "oracle_n=,"),
+    ("oracle", "oracle_n=1"),
+    ("oracle", "oracle_n=0,500"),
+    ("oracle", "oracle_n=-3"),
     ("sweep", "exponents=1,nan"),
     ("survival", "dual_tol=nan"),
     ("survival", "dual_tol=0"),

@@ -97,6 +97,65 @@ def test_gauss_oracle_tracks_continuum(m1, m1_decay, N):
     assert np.max(np.abs(np.abs(disc.delta0) ** 2 - np.abs(cont.delta0) ** 2)) < 1e-10
 
 
+@pytest.mark.parametrize("N", [500, 1000, 2000, 4000])
+def test_gauss_oracle_tracks_continuum_to_rounding(m1, m1_decay, N):
+    # accurate weights put the Gauss bath at the reference model on the
+    # continuum to rounding: 1.7e-15 to 3.0e-15 here, 2.4e-14 to 1.0e-13
+    # with the companion-matrix weights
+    bath = ob.discretize(m1, N, 40.0, ob.Scheme.GAUSS)
+    grid = np.linspace(0.0, 0.2 * ob.recurrence_time(bath), 160)
+    disc = ob.oracle_amplitude(bath, grid)
+    cont = m1_decay.amplitude_spectral(grid)
+    assert np.max(np.abs(np.abs(disc.delta0) ** 2 - np.abs(cont.delta0) ** 2)) <= 5e-15
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 24, 150, 501, 2000])
+def test_gauss_legendre_matches_leggauss(N):
+    x, w = oracle._gauss_legendre(N)
+    x_ref, _ = np.polynomial.legendre.leggauss(N)
+    assert np.max(np.abs(x - x_ref)) <= 2.2e-16
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(w, w[::-1])
+    if N % 2:
+        assert x[N // 2] == 0.0
+    assert abs(w.sum() - 2.0) <= 4 * np.spacing(2.0)
+    assert not (x.flags.writeable or w.flags.writeable)
+
+
+def test_gauss_legendre_exact_on_even_powers():
+    x, w = oracle._gauss_legendre(40)
+    for k in range(40):
+        assert np.dot(w, x ** (2 * k)) == pytest.approx(2.0 / (2 * k + 1), rel=1e-14)
+
+
+def test_gauss_legendre_weights_match_mpmath():
+    # each root is bracketed: Newton from the node at index 0 finds another
+    # root; leggauss errs by 6.8e-10 at index 0 and 4.7e-14 in the middle
+    n = 500
+    x, w = oracle._gauss_legendre(n)
+    with mp.workdps(40):
+        for i in (0, 1, 10, 125, 249):
+            node = mp.mpf(float(x[i]))
+            r = mp.findroot(lambda s: mp.legendre(n, s), (node - mp.mpf("1e-13"),
+                                                           node + mp.mpf("1e-13")),
+                            solver="anderson")
+            dp = n * (r * mp.legendre(n, r) - mp.legendre(n - 1, r)) / (r * r - 1)
+            error = float(abs(w[i] * (1 - r * r) * dp * dp / 2 - 1))
+            assert error <= (1e-15 if i >= 125 else 1e-10)
+
+
+def test_gauss_discretize_memory_is_linear(m1):
+    # a companion-matrix eigensolve at N = 4000 would take 122 MB
+    oracle._gauss_legendre.cache_clear()
+    tracemalloc.start()
+    try:
+        ob.discretize(m1, 4000, 40.0, ob.Scheme.GAUSS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_recurrence_time_uniform_spacing(m1):
     bath = ob.discretize(m1, 100, 40.0, ob.Scheme.UNIFORM)
     assert ob.recurrence_time(bath) == pytest.approx(2.0 * math.pi / 0.4, rel=1e-12)
