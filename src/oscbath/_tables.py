@@ -9,7 +9,8 @@
   Legendre moments and the spherical Bessel functions j_k (a Filon-type rule:
   Iserles & Norsett, Proc. R. Soc. A 461 (2005) 1383), so its cost per time
   is one short sum per panel at every t (:func:`filon_sums`, summed inside
-  the j_k recurrences up to the order where j_k drops below rounding).  When
+  the j_k recurrences up to the order where j_k drops below rounding; the
+  same panel sum serves the ray table).  When
   the peak half-width drops below float resolution of the node positions
   (tiny couplings), an inner window around the peak switches to offset-based
   nodes with a local quadratic model of the real part, which stays exact
@@ -20,13 +21,15 @@
   window's X' and X'' from the same rule in closed form.  This table gives
   the amplitude; the ray table checks it.
 
-* :class:`RayTable` holds nodes on the rotated ray z = s * exp(-i*theta)
+* :class:`RayTable` holds Gauss panels on the rotated ray z = s * exp(-i*theta)
   carrying the deformed background integrand
   lam^2 g2(z) / (alpha_I(z) alpha_II(z)); alpha_I on the ray comes from the
-  Cauchy rule.  The background is the weighted node sum
-  :func:`node_sum`, which factorizes each run of equally spaced times into
-  anchor and offset exponentials joined by one complex GEMM, and skips
-  nodes whose exponential underflows to 0.
+  Cauchy rule.  Each panel of a geometric starting mesh is bisected until
+  its top Legendre coefficients reach rounding, which grades the panels into
+  the s^n endpoint (Babuska & Guo, SIAM J. Numer. Anal. 25 (1988) 837) and
+  around any zero of alpha_II near the ray.  The background is the same
+  panel sum with a complex argument, so the table takes no times; as
+  |exp(-i z t)| <= 1 on the ray, the error at t = 0 bounds it at every t.
   On the ray the Gaussian factor of g2 decays like
   exp(-s^2 cos(2 theta)/cutoff^2) and the time factor like
   exp(-s t sin(theta)), so the angle must stay below pi/4 for the table to
@@ -53,18 +56,16 @@ DEFAULT_RAY_ANGLE = math.pi / 5.0
 
 _NODES_PER_PANEL = 24         # Gauss nodes per panel of both tables
 _INNER_NODES = 20             # Gauss nodes per panel of the spectral table's offset window
-_RAD_PER_NODE = 0.8           # ray table: phase budget per node at the largest requested time
 _SERIES_EDGE = 1e-3           # j_k: argument below which the power series is used
-_JN_GROUPS = (0.5, 3.0)       # j_k: edges of the argument groups between 1e-3 and n
+_JN_GROUPS = (0.5, 3.0)       # j_k: edges of the argument groups between 1e-3 and the top
 _JN_DROP = 2.0**-53           # j_k: orders whose bound a^k/(2k+1)!! falls below this are dropped
-_PAIRS = _BLOCK // 8          # spectral amplitude: panel-time pairs per block
+_PAIRS = _BLOCK // 8          # panel sum: panel-time pairs per block
 _INNER_CUT = 1e-5             # peak half-width below which the offset window is used
 _INNER_SPAN = 1e4             # offset window half-span, in peak half-widths
 _RAY_TAIL_TOL = 1e-13         # ray truncation: Gaussian tail bound
-_RAY_MAX_NODES = 300_000
-_MIN_RUN = 16                 # node_sum: fewest equally spaced times summed as a lattice
-_RUN_ULPS = 4                 # node_sum: a lattice time's largest offset from t_a + i h, in ulps
-_EXP_ZERO = -745.2            # node_sum: exp(x) rounds to exactly 0 below this
+_RAY_FIRST = 1e-7             # ray table: first panel of the starting mesh, in cutoffs
+_RAY_COEF_TOL = 1e-15         # ray table: bound on (2k+1)|m_pk| at a panel's top two orders
+_RAY_MAX_ROUNDS = 40          # ray table: bisection rounds before QuadratureFailure
 
 __all__ = ["SpectralTable", "RayTable", "build_spectral_table", "build_ray_table",
            "DEFAULT_RAY_ANGLE", "AxisProfile", "axis_profile"]
@@ -113,132 +114,70 @@ def axis_profile(decay: Decay) -> AxisProfile:
     return AxisProfile(omega0=float(omega0), xprime=float(xp), xsecond=float(xs), eta=float(eta))
 
 
-def node_sum(times, rates, values) -> np.ndarray:
-    """sum_j values_j * exp(rates_j * t) at every t.
-
-    A run of L >= ``_MIN_RUN`` equally spaced ascending times t_a + i h is
-    factorized exactly: with m = ceil(sqrt(L)), exp(r t_{km+q}) = A_k Q_q
-    for the anchor A_k = exp(r (t_a + k m h)) and the offset
-    Q_q = exp(r q h), so the run costs L/m + m exponentials per node and
-    one complex GEMM, A @ (Q * values).T.  A run is taken only where every
-    time lies within ``_RUN_ULPS`` ulps of t_a + i h, with h from the run's
-    end times, so each term stays exp(r t') with t' a few ulps from t_i.
-    All other times, and unsorted input, go to the direct sum.  Nodes whose
-    exponential is exactly 0 at every time of a block are skipped.
-    """
-    t = np.asarray(times, dtype=float)
-    flat = t.ravel()
-    out = np.empty(flat.size, dtype=complex)
-    direct = np.ones(flat.size, dtype=bool)
-    for a, b, h in _lattice_runs(flat):
-        L = b - a
-        m = min(math.isqrt(L - 1) + 1, max(1, _BLOCK // max(rates.size, 1)))
-        weights = np.multiply.outer(np.arange(m) * h, rates)  # Q_q * values
-        np.exp(weights, out=weights)
-        weights *= values
-        out[a:b] = _anchor_sums(flat[a] + np.arange(0, L, m) * h, rates, weights).ravel()[:L]
-        direct[a:b] = False
-    idx = np.flatnonzero(direct)
-    out[idx] = _anchor_sums(flat[idx], rates, values)
-    return out.reshape(t.shape)
-
-
-def _lattice_runs(t):
-    """(start, stop, step) of each run of at least ``_MIN_RUN`` equally spaced times.
-
-    Candidates are stretches of strictly ascending times whose consecutive
-    steps agree to within rounding; a candidate is a run only if every time
-    lies within ``_RUN_ULPS`` ulps of t_a + i h, h from its end times.
-    """
-    if t.size < _MIN_RUN:
-        return []
-    d = np.diff(t)
-    if not np.all(d > 0):
-        return []
-    # times within _RUN_ULPS ulps of a lattice have second differences within 4x that
-    even = np.abs(np.diff(d)) <= 4 * _RUN_ULPS * np.spacing(np.abs(t[2:]))
-    edges = np.flatnonzero(np.diff(np.concatenate([[0], even.view(np.int8), [0]])))
-    runs = []
-    for a, b in zip(edges[0::2], edges[1::2] + 2):  # steps a..b-2 even: times a..b-1
-        if b - a < _MIN_RUN:
-            continue
-        h = (t[b - 1] - t[a]) / (b - a - 1)
-        if np.all(np.abs(t[a:b] - (t[a] + np.arange(b - a) * h))
-                  <= _RUN_ULPS * np.spacing(np.abs(t[a:b]))):
-            runs.append((a, b, h))
-    return runs
-
-
-def _anchor_sums(anchors, rates, weights) -> np.ndarray:
-    """exp(outer(anchors, rates)) @ weights.T, for weights of shape (n,) or (m, n).
-
-    The anchors go in blocks of at most ``_BLOCK`` exponentials, all computed
-    in one buffer: a fresh 4 MB temporary per block was measured slower.
-    A column whose rate has Re(rate) * t < ``_EXP_ZERO`` at both ends of a
-    block is exactly 0 there and is left out.
-    """
-    out = np.empty(anchors.shape + weights.shape[:-1], dtype=complex)
-    chunk = max(1, _BLOCK // max(rates.size, 1))
-    buf = np.empty(min(chunk, anchors.size) * rates.size, dtype=complex)
-    re = rates.real
-    for i in range(0, anchors.size, chunk):
-        ts = anchors[i:i + chunk]
-        live = np.maximum(re * ts.min(), re * ts.max()) >= _EXP_ZERO
-        r, w = (rates, weights) if live.all() else (rates[live], weights[..., live])
-        block = buf[:ts.size * r.size].reshape(ts.size, r.size)
-        np.multiply.outer(ts, r, out=block)
-        np.exp(block, out=block)
-        out[i:i + chunk] = block @ w.T
-    return out
-
-
 def filon_sums(coef, a) -> np.ndarray:
-    """sum_k coef[p, k] (-i)^k j_k(a[p, t]) at a 2-d array a >= 0, one row per row of coef.
+    """sum_k coef[p, k] (-i)^k j_k(a[p, t]) e^{-|Im a[p, t]|}, one row of a per row of coef.
 
-    The sums grow inside the recurrences that make the j_k.  The arguments go
-    in groups split at 1e-3, ``_JN_GROUPS`` and n = coef.shape[1]; a group
-    stops at the first order where j_k's bound a^k/(2k+1)!!, at its largest a,
-    is below ``_JN_DROP``.  Below 1e-3 the series a^k/(2k+1)!! * (1 - h/(2k+3)
-    + h^2/(2(2k+3)(2k+5))), h = a^2/2, exact to rounding; from n up the upward
-    recurrence from j_{-1} = cos a / a and j_0 = sin a / a.  In between,
-    Miller's downward recurrence from a^K/(2K+1)!! ~ j_K(a), near unit scale,
-    at the order K where that bound is below sqrt(``_JN_DROP``): the start's
-    error is about its square.  Its sums are scaled by the least-squares fit
-    of its first two values to j_0 and j_1 = (j_0 - cos a)/a (never both 0).
+    ``a`` holds real a >= 0, or complex a, whose factor e^{-|Im a|} keeps
+    every sum within its coefficients' scale.  The sums grow inside the
+    recurrences that make the j_k.  The arguments go in groups by |a|, split
+    at 1e-3, ``_JN_GROUPS`` and n = coef.shape[1] (2n for complex a); a group
+    stops at the first order where j_k's bound B_k = |a|^k/(2k+1)!!, at its
+    largest |a|, is below ``_JN_DROP``.  Below 1e-3 the series a^k/(2k+1)!! *
+    (1 - h/(2k+3) + h^2/(2(2k+3)(2k+5))), h = a^2/2, exact to rounding; from
+    the top edge up the upward recurrence from j_{-1} = cos a / a and
+    j_0 = sin a / a, stable while |a| > k.  In between, Miller's downward
+    recurrence from B_K ~ j_K(a): its start's error at the group's top kept
+    order is about B_K^2 / min(1, B_top), so K is the first order where that
+    is below ``_JN_DROP``.  Its sums are scaled by the least-squares fit of
+    its first two values to j_0 and j_1 = (j_0 - cos a)/a (never both 0).
     """
     n = coef.shape[1]
     signed = np.ascontiguousarray((coef * np.array([1.0, -1.0, -1.0, 1.0])[np.arange(n) % 4]).T)
     flat = a.ravel()
-    re, im = np.empty(flat.size), np.empty(flat.size)  # from the even and the odd orders
-    edges = np.minimum([_SERIES_EDGE, *_JN_GROUPS, n], n)  # sorted for any n >= 1
-    group = np.searchsorted(edges, flat, side="right")
+    size = np.abs(flat) if np.iscomplexobj(flat) else flat
+    even, odd = np.empty((2, flat.size), np.result_type(coef, flat))
+    top = 2 * n if np.iscomplexobj(flat) else n
+    edges = np.minimum([_SERIES_EDGE, *_JN_GROUPS, top], top)  # sorted for any n >= 1
+    group = np.searchsorted(edges, size, side="right")
     for g in np.flatnonzero(np.bincount(group)):
         idx = np.flatnonzero(group == g)
         x = flat[idx]
         sums = _series_sums if g == 0 else _upward_sums if g == edges.size else _miller_sums
-        re[idx], im[idx] = sums(x, signed[:_first_below(x.max(), _JN_DROP, n)], idx // a.shape[1])
-    return (re + 1j * im).reshape(a.shape)
+        even[idx], odd[idx] = sums(x, signed[:_first_below(size[idx].max(), _JN_DROP, n)],
+                                   idx // a.shape[1])
+    return (even + 1j * odd).reshape(a.shape)
 
 
-def _first_below(a: float, tol: float, cap=math.inf) -> int:
-    """The first order k where a^k/(2k+1)!! < tol, or cap if that comes first."""
-    bound, k = 1.0, 0
+def _first_below(a: float, tol: float, cap=math.inf, k: int = 0) -> int:
+    """The first order from k on where a^j/(2j+1)!!, relative to its value
+    at order k, is below tol; or cap if that comes first."""
+    bound = 1.0
     while k < cap and bound >= tol:
         bound, k = bound * a / (2 * k + 3), k + 1
     return k
 
 
+def _scaled_sin_cos(x):
+    """sin x and cos x, times e^{-|Im x|} for complex x."""
+    if not np.iscomplexobj(x):
+        return np.sin(x), np.cos(x)
+    e = 0.5 * np.expm1(-2.0 * np.abs(x.imag))  # cosh(y) e^{-|y|} - 1, exact at small y
+    s, c, sh = np.sin(x.real), np.cos(x.real), -np.sign(x.imag) * e  # sh = sinh(y) e^{-|y|}
+    return s * (1.0 + e) + 1j * (c * sh), c * (1.0 + e) - 1j * (s * sh)
+
+
 def _series_sums(x, signed, rows):
-    sums, term, h = [np.zeros(x.size), np.zeros(x.size)], np.ones(x.size), 0.5 * x * x
+    sums, term, h = np.zeros((2, x.size), np.result_type(x, signed)), np.ones(x.size), 0.5 * x * x
     for k, c in enumerate(signed):  # term = x^k / (2k+1)!!
         sums[k & 1] += term * (1.0 - h / (2 * k + 3) * (1.0 - 0.5 * h / (2 * k + 5))) * c.take(rows)
         term = term * x / (2 * k + 3)
-    return sums
+    return sums * np.exp(-np.abs(x.imag)) if np.iscomplexobj(x) else sums
 
 
 def _upward_sums(x, signed, rows):
-    sums, inv = [np.zeros(x.size), np.zeros(x.size)], 1.0 / x
-    below, f = np.cos(x) * inv, np.sin(x) * inv
+    sums, inv = np.zeros((2, x.size), np.result_type(x, signed)), 1.0 / x
+    sin, cos = _scaled_sin_cos(x)
+    below, f = cos * inv, sin * inv
     for k, c in enumerate(signed):
         sums[k & 1] += f * c.take(rows)
         below, f = f, (2 * k + 1) * inv * f - below
@@ -246,68 +185,85 @@ def _upward_sums(x, signed, rows):
 
 
 def _miller_sums(x, signed, rows):
-    K = max(len(signed), _first_below(x.max(), math.sqrt(_JN_DROP)))
-    sums, inv = [np.zeros(x.size), np.zeros(x.size)], 1.0 / x
+    size, top = np.abs(x).max(), len(signed) - 1
+    bound = size**top / np.prod(2.0 * np.arange(top + 1) + 1.0)  # at the top kept order
+    K = _first_below(size, math.sqrt(_JN_DROP * min(1.0, bound)) / bound, k=top)
+    sums, inv = np.zeros((2, x.size), np.result_type(x, signed)), 1.0 / x
     f, above = np.exp(K * np.log(x) - np.sum(np.log(2.0 * np.arange(K + 1) + 1.0))), 0.0
     for k in range(K - 1, -1, -1):  # f becomes j_k up to a common scale
         f, above = (2 * k + 3) * inv * f - above, f
         if k < len(signed):
             sums[k & 1] += f * signed[k].take(rows)
-    j0 = np.sin(x) * inv
-    scale = (j0 * f + (j0 - np.cos(x)) * inv * above) / (f * f + above * above)
-    return sums[0] * scale, sums[1] * scale
+    sin, cos = _scaled_sin_cos(x)
+    j0 = sin * inv
+    fc, ac = (f.conj(), above.conj()) if np.iscomplexobj(x) else (f, above)
+    return sums * ((j0 * fc + (j0 - cos) * inv * ac) / (f * fc + above * ac))
 
 
 @dataclass
-class SpectralTable:
-    """Gauss panels of the spectral weight, with their Legendre moments.
+class _PanelTable:
+    """Gauss panels on z = s e^{-i theta}, s >= 0 (the real axis at theta = 0),
+    with the Legendre moments of their table weights.
 
-    Panel p has centre ``centres[p]`` and half-width ``halfwidths[p]``; its
-    samples at the Gauss abscissae xi_j of [-1, 1] carry the table weights
-    W_pj, and ``moments[p, k]`` is sum_j W_pj P_k(xi_j) (zero above the
-    panel's own node count).  ``nodes`` and ``weights`` hold every sample,
-    sorted by node.  The amplitude integrates each panel's interpolant of
-    the weight against exp(-i w t) exactly:
+    Panel p has centre ``centres[p]`` and half-width ``halfwidths[p]`` in s;
+    its samples at the Gauss abscissae xi_j carry the table weights W_pj, and
+    ``moments[p, k]`` is sum_j W_pj P_k(xi_j) (zero above the panel's node
+    count).  With phi = e^{-i theta}, the panel sum
 
-        amplitude(t) = sum_p exp(-i c_p t) sum_k (2k+1) (-i)^k j_k(h_p t) m_pk,
+        sum_p exp(-i c_p phi t) sum_k (2k+1) (-i)^k j_k(h_p phi t) m_pk
 
-    by int_{-1}^{1} P_k(x) exp(-i a x) dx = 2 (-i)^k j_k(a).  At t = 0 this
-    is the node sum sum_j W_j.
+    integrates each panel's interpolant against exp(-i z t) exactly, by
+    int_{-1}^{1} P_k(x) exp(-i a x) dx = 2 (-i)^k j_k(a); at t = 0 it is sum W.
+    :func:`filon_sums` scales j_k by e^{-|Im a|} = e^{-h t sin theta}, which
+    moves into the panel's exponential, exp(-i c t cos theta - (c - h) t sin
+    theta), never above 1 as c - h >= 0.  Pairs of panels and times go in
+    blocks of ``_PAIRS``.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
     centres: np.ndarray
     halfwidths: np.ndarray
     moments: np.ndarray
-    sum_defect: float = field(init=False)
 
-    def __post_init__(self):
-        self.sum_defect = float(self.weights.sum() - 1.0)
-
-    def amplitude(self, times) -> np.ndarray:
+    def _panel_sum(self, times, theta: float = 0.0) -> np.ndarray:
         t = np.atleast_1d(np.asarray(times, dtype=float))
         flat = t.ravel()
         coef = (2 * np.arange(self.moments.shape[1]) + 1) * self.moments
+        sin, cos = math.sin(theta), math.cos(theta)
+        rates = -(self.centres - self.halfwidths) * sin - 1j * self.centres * cos
+        scales = self.halfwidths * complex(cos, -sin) if theta else self.halfwidths
         out = np.zeros(flat.size, dtype=complex)
         tc = max(1, min(flat.size, _PAIRS))
         pc = max(1, _PAIRS // tc)
         for i in range(0, flat.size, tc):
             ts = flat[i:i + tc]
             for p in range(0, self.centres.size, pc):
-                inner = filon_sums(coef[p:p + pc], np.outer(self.halfwidths[p:p + pc], ts))
-                phase = np.exp(-1j * np.outer(self.centres[p:p + pc], ts))
+                inner = filon_sums(coef[p:p + pc], np.outer(scales[p:p + pc], ts))
+                phase = np.exp(np.outer(rates[p:p + pc], ts))
                 out[i:i + tc] += np.einsum("pt,pt->t", phase, inner)
         return out.reshape(t.shape)
 
 
-def _panels(bounds, weights, xi, n: int):
-    """Centres, half-widths and Legendre moments of Gauss panels.
+@dataclass
+class SpectralTable(_PanelTable):
+    """Panels of the spectral weight on the real axis; ``amplitude`` is
+    their panel sum.  ``nodes`` and ``weights`` hold every sample, sorted by
+    node."""
 
-    ``weights`` holds each panel's table weights in the order of ``xi``,
-    the panel's local coordinate of its samples; the moments are padded to
-    ``n`` orders.
-    """
+    nodes: np.ndarray
+    weights: np.ndarray
+    sum_defect: float = field(init=False)
+
+    def __post_init__(self):
+        self.sum_defect = float(self.weights.sum() - 1.0)
+
+    def amplitude(self, times) -> np.ndarray:
+        return self._panel_sum(times)
+
+
+def _panels(bounds, weights, xi, n: int):
+    """Centres, half-widths and Legendre moments, padded to ``n`` orders, of
+    Gauss panels; ``weights`` holds each panel's table weights at its local
+    coordinates ``xi``."""
     centres = 0.5 * (bounds[1:] + bounds[:-1])
     halfwidths = 0.5 * (bounds[1:] - bounds[:-1])
     moments = np.zeros((centres.size, n))
@@ -403,17 +359,16 @@ def build_spectral_table(decay: Decay) -> SpectralTable:
 
 
 @dataclass
-class RayTable:
-    """Background integrand sampled on the rotated ray."""
+class RayTable(_PanelTable):
+    """Panels of the background integrand on the rotated ray; ``background``
+    is their panel sum.  The table weights are Gauss weight * integrand *
+    e^{-i theta}, sampled at the abscissae ``s_nodes``."""
 
     s_nodes: np.ndarray
-    values: np.ndarray  # quadrature weight * integrand * ray jacobian
     theta: float
 
     def background(self, times) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        decay = -math.sin(self.theta) - 1j * math.cos(self.theta)
-        return node_sum(t, decay * self.s_nodes, self.values)
+        return self._panel_sum(times, self.theta)
 
 
 def _ray_truncation(model: ModelParams, theta: float) -> float:
@@ -432,14 +387,19 @@ def _ray_truncation(model: ModelParams, theta: float) -> float:
     return max(S, 3.0 * cut)
 
 
-def build_ray_table(decay: Decay, z0: complex, t_max: float,
-                    theta: float = DEFAULT_RAY_ANGLE) -> RayTable:
+def build_ray_table(decay: Decay, z0: complex, theta: float = DEFAULT_RAY_ANGLE) -> RayTable:
     """Build the rotated-ray table for the non-pole part of the amplitude.
 
     The angle is used as given.  It must lie in (0, pi/4), where the
     Gaussian factor of g2 decays along the ray, and pass below the resonance
     pole (theta > |arg z0|) so that the pole term is the extracted residue;
     an angle within 0.02 of the pole direction raises :class:`PoleOnRay`.
+
+    The starting mesh is a first panel of ``_RAY_FIRST`` cutoffs, widths
+    equal to s up to the cutoff, then cutoff-wide panels to the truncation.
+    A panel whose (2k+1)|m_k| at k = 22 or 23 exceeds ``_RAY_COEF_TOL`` is
+    bisected; one still unresolved after ``_RAY_MAX_ROUNDS`` rounds raises
+    :class:`QuadratureFailure`.
     """
     model = decay.model
     if model.lam == 0.0:
@@ -454,31 +414,39 @@ def build_ray_table(decay: Decay, z0: complex, t_max: float,
             f"{pole_angle:.4g}; admissible angles are ({lowest:.4g}, pi/4)"
         )
 
-    S = _ray_truncation(model, theta)
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
-    abs_sin2 = abs(math.sin(2.0 * theta))
-    cut2 = model.cutoff**2
-    s0 = min(model.cutoff, S) / 50.0
-    if t_max > 0:
-        s0 = min(s0, 1.0 / (t_max * sin_t) / 8.0)
-
-    def width(s):
-        t_eff = t_max if s <= s0 else min(t_max, 40.0 / (s * sin_t)) if t_max > 0 else 0.0
-        k = t_eff * cos_t + 2.0 * s * abs_sin2 / cut2
-        w_phase = math.inf if k <= 0 else _RAD_PER_NODE * _NODES_PER_PANEL / k
-        return min(max(s / 4.0, s0), w_phase)
-
-    bounds = graded_boundaries(0.0, S, width)
-    s_nodes, wq = gauss_panels(bounds, _NODES_PER_PANEL)
-    if s_nodes.size > _RAY_MAX_NODES:
-        raise QuadratureFailure(
-            f"ray table needs {s_nodes.size} nodes, above the cap {_RAY_MAX_NODES}"
-        )
     phase = complex(math.cos(theta), -math.sin(theta))
-    z = s_nodes * phase
     lam2 = model.lam**2
-    alpha_one = z - model.omega_bare - lam2 * decay.rule.resolvent_on_ray(s_nodes, theta)
-    g2z = spectral_weight_analytic(model, z)
-    alpha_two = alpha_one + 2j * math.pi * lam2 * g2z
-    values = wq * lam2 * g2z / (alpha_one * alpha_two) * phase
-    return RayTable(s_nodes=s_nodes, values=values, theta=theta)
+
+    def weights(s, wq):
+        z = s * phase
+        alpha_one = z - model.omega_bare - lam2 * decay.rule.resolvent_on_ray(s, theta)
+        g2z = spectral_weight_analytic(model, z)
+        alpha_two = alpha_one + 2j * math.pi * lam2 * g2z
+        return wq * lam2 * g2z / (alpha_one * alpha_two) * phase
+
+    cut = model.cutoff
+    bounds = graded_boundaries(0.0, _ray_truncation(model, theta),
+                               lambda s: min(max(s, _RAY_FIRST * cut), cut))
+    lo, hi = bounds[:-1], bounds[1:]
+    xi, wi = _leggauss(_NODES_PER_PANEL)
+    vander = np.polynomial.legendre.legvander(xi, _NODES_PER_PANEL - 1)
+    top = 2 * np.arange(_NODES_PER_PANEL - 2, _NODES_PER_PANEL) + 1
+    done = []
+    for _ in range(_RAY_MAX_ROUNDS):
+        centres, halfwidths = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        w = weights((centres[:, None] + halfwidths[:, None] * xi).ravel(),
+                    (halfwidths[:, None] * wi).ravel())
+        moments = w.reshape(centres.size, _NODES_PER_PANEL) @ vander
+        fine = np.all(top * np.abs(moments[:, -2:]) <= _RAY_COEF_TOL, axis=1)
+        done.append((centres[fine], halfwidths[fine], moments[fine]))
+        if fine.all():
+            break
+        lo, hi = (np.concatenate([lo[~fine], centres[~fine]]),
+                  np.concatenate([centres[~fine], hi[~fine]]))
+    else:
+        raise QuadratureFailure(f"ray table: {np.count_nonzero(~fine)} panels still "
+                                f"unresolved after {_RAY_MAX_ROUNDS} bisection rounds")
+    centres, halfwidths, moments = (np.concatenate(part) for part in zip(*done))
+    s_nodes = (centres[:, None] + halfwidths[:, None] * xi).ravel()
+    return RayTable(s_nodes=s_nodes, centres=centres, halfwidths=halfwidths, moments=moments,
+                    theta=theta)

@@ -30,7 +30,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._tables import node_sum
 from .errors import EigensolveFailure, InvalidDiscretization
 from .model import ModelParams, spectral_weight
 from .quadrature import _BLOCK
@@ -58,6 +57,8 @@ _CHEB = 31
 _NODES = np.cos(np.pi * np.arange(_CHEB) / (_CHEB - 1))  # Chebyshev points, 1 down to -1
 _BARY = np.where(np.arange(_CHEB) % 2 == 0, 1.0, -1.0)   # their barycentric weights
 _BARY[[0, -1]] *= 0.5
+_MIN_RUN = 16           # node_sum: fewest equally spaced times summed as a lattice
+_RUN_ULPS = 4           # node_sum: a lattice time's largest offset from t_0 + i h, in ulps
 
 
 class Scheme(enum.Enum):
@@ -327,13 +328,47 @@ def discretize(model: ModelParams, N: int, omega_max: float,
     return DiscreteBath(model=model, frequencies=freqs, couplings=couplings)
 
 
+def node_sum(times, rates, values) -> np.ndarray:
+    """sum_j values_j * exp(rates_j * t) at every t.
+
+    A grid of L >= ``_MIN_RUN`` times, each within ``_RUN_ULPS`` ulps of
+    t_0 + i h (h from the end times), is factorized: with m = ceil(sqrt(L)),
+    exp(r t_{km+q}) = A_k Q_q for the anchor A_k = exp(r (t_0 + k m h)) and the
+    offset Q_q = exp(r q h), so it costs L/m + m exponentials per node and one
+    complex GEMM, A @ (Q * values).T, and each term is exp(r t') with t' a few
+    ulps from t_i.  Any other grid is summed directly, every time an anchor.
+    The anchors go in blocks of at most ``_BLOCK`` exponentials in one buffer:
+    a fresh 4 MB temporary per block was measured slower.
+    """
+    t = np.asarray(times, dtype=float)
+    anchors, weights = t.ravel(), values
+    L = anchors.size
+    h = (anchors[-1] - anchors[0]) / (L - 1) if L >= _MIN_RUN else 0.0
+    if h > 0 and np.all(np.abs(anchors - (anchors[0] + np.arange(L) * h))
+                        <= _RUN_ULPS * np.spacing(np.abs(anchors))):
+        m = min(math.isqrt(L - 1) + 1, max(1, _BLOCK // max(rates.size, 1)))
+        weights = np.multiply.outer(np.arange(m) * h, rates)  # Q_q * values
+        np.exp(weights, out=weights)
+        weights *= values
+        anchors = anchors[0] + np.arange(0, L, m) * h
+    out = np.empty(anchors.shape + weights.shape[:-1], dtype=complex)
+    chunk = max(1, _BLOCK // max(rates.size, 1))
+    buf = np.empty(min(chunk, anchors.size) * rates.size, dtype=complex)
+    for i in range(0, anchors.size, chunk):
+        ts = anchors[i:i + chunk]
+        block = buf[:ts.size * rates.size].reshape(ts.size, rates.size)
+        np.multiply.outer(ts, rates, out=block)
+        np.exp(block, out=block)
+        out[i:i + chunk] = block @ weights.T
+    return out.ravel()[:L].reshape(t.shape)
+
+
 def oracle_amplitude(bath: DiscreteBath, tgrid) -> AmplitudeSeries:
     """Delta0(t) = sum_k |<osc|v_k>|^2 exp(-i E_k t), exact in the finite bath.
 
-    The sum is :func:`~oscbath._tables.node_sum`: an equally spaced grid,
-    such as the CLI's windows, is factorized into anchor and offset
-    exponentials joined by one complex GEMM.  Its skipping of nodes whose
-    exponential underflows to 0 never applies here: the rates are imaginary.
+    The sum is :func:`node_sum`: an equally spaced grid, such as the CLI's
+    windows, is factorized into anchor and offset exponentials joined by one
+    complex GEMM.
     """
     t = np.asarray(tgrid, dtype=float)
     energies, overlaps = bath.eigensystem()

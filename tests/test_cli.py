@@ -303,6 +303,28 @@ def test_survival_ray_angle_near_quarter_pi(cfg_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_survival_near_a_second_sheet_dip(tmp_path, capsys):
+    # seed-3 survival11 of the decay_phases bench: |alpha_II| dips to 0.11 near
+    # the ray, where one phase-sized panel left a dual sup of 1.6e-3
+    params = (0.6465671876659129, 0.34122904127462844, 1.5937685555970407, 2.5647922187818586)
+    out = tmp_path / "out"
+    assert run(["survival", "--config", model_cfg(tmp_path, params), "--out", out]) == 0
+    assert json.loads((out / "survival.json").read_text())["dual_method_sup"] <= 1e-12
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fraction", [0.99, 0.999])
+def test_survival_at_the_threshold_corner(tmp_path, capsys, fraction):
+    # lambda^2 at 0.99 and 0.999 of the positivity limit at the reference shape:
+    # the pole sits near the threshold, inside the ray's geometric first panels
+    lam = math.sqrt(fraction / (0.5 * 5.0 * math.gamma(0.5)))
+    out = tmp_path / "out"
+    assert run(["survival", "--config", CONFIGS / "reference.cfg", "--out", out,
+                "--override", f"lambda={lam!r}"]) == 0
+    assert json.loads((out / "survival.json").read_text())["dual_method_sup"] <= 1e-10
+    capsys.readouterr()
+
+
 # (omega, lambda, exponent, cutoff) whose poles lie at arguments -0.691 and
 # -0.760, beyond the default ray angle pi/5
 STEEP_POLE_MODELS = [

@@ -327,8 +327,9 @@ JN_ARGS = [0.0, 1e-12, 1e-3 * (1 - 1e-9), 1e-3 * (1 + 1e-9), 0.02, 0.7, 3.0, 11.
 
 
 def mp_jn(k, a):
-    return (mp.mpf(1 if k == 0 else 0) if a == 0.0 else
-            mp.sqrt(mp.pi / (2 * mp.mpf(a))) * mp.besselj(k + mp.mpf(1) / 2, a))
+    a = mp.mpmathify(a)
+    return (mp.mpf(1 if k == 0 else 0) if a == 0 else
+            mp.sqrt(mp.pi / (2 * a)) * mp.besselj(k + mp.mpf(1) / 2, a))
 
 
 def test_spherical_bessel_against_mpmath():
@@ -352,6 +353,41 @@ def test_filon_sums_at_group_edges_against_mpmath():
             for i, a in enumerate(row):
                 ref = mp.fsum(mp.mpf(c) * (-1j)**k * mp_jn(k, a) for k, c in enumerate(coef[p]))
                 assert abs(got[p, i] - complex(ref)) < 1e-14 * np.abs(coef[p]).sum(), (p, a)
+
+
+@pytest.mark.parametrize("a", [5.0, 10.0, 15.0, 20.0])
+def test_miller_start_set_by_a_single_argument(a):
+    # the largest argument of a call sets Miller's start; each argument here
+    # has a call of its own, and at 10 a start one order above the top kept
+    # order once erred by 2.5e-12
+    got = filon_sums(np.eye(24), np.full((24, 1), a))
+    with mp.workdps(40):
+        for k in range(24):
+            assert abs(got[k, 0] * 1j**k - float(mp_jn(k, a))) < 1e-14, k
+
+
+# |a| on both sides of every group edge of complex arguments (1e-3, 0.5, 3 and
+# 2n = 48) and of the real top edge n = 24, and out to 1e5
+COMPLEX_JN_MODULI = [0.0, 1e-12, 1e-4, 10.0, 24.1, 1e2, 1e3, 1e4, 1e5] + [
+    e * f for e in (1e-3, *_JN_GROUPS, 24.0, 48.0) for f in (1 - 1e-9, 1 + 1e-9)]
+
+
+@pytest.mark.parametrize("theta", [0.1, math.pi / 5, 0.78])
+def test_complex_filon_sums_against_mpmath(theta):
+    # a = |a| e^{-i theta}, as on a ray panel: unit coefficient rows give each
+    # (-i)^k j_k(a) e^{-|Im a|}, and random complex rows their sums, one row
+    # per argument; the error is relative to sum_k |c_k|
+    a = np.array(COMPLEX_JN_MODULI) * complex(math.cos(theta), -math.sin(theta))
+    rng = np.random.default_rng(9)
+    coef = rng.normal(size=(a.size, 24)) + 1j * rng.normal(size=(a.size, 24))
+    unit, summed = filon_sums(np.eye(24), np.tile(a, (24, 1))), filon_sums(coef, a[:, None])
+    with mp.workdps(40):
+        for i, x in enumerate(a):
+            jk = [mp_jn(k, x) * (-1j)**k * mp.exp(-abs(x.imag)) for k in range(24)]
+            for k in range(24):
+                assert abs(unit[k, i] - complex(jk[k])) < 1e-14, (abs(x), k)
+            ref = complex(mp.fsum(mp.mpc(c) * j for c, j in zip(coef[i], jk)))
+            assert abs(summed[i, 0] - ref) < 1e-14 * np.abs(coef[i]).sum(), abs(x)
 
 
 def _axis_models():

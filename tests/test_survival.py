@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import legvander
 
 import oscbath as ob
 from oracles import spectral_moment
-from oscbath._tables import build_ray_table, build_spectral_table, node_sum
+from oscbath._tables import build_ray_table, build_spectral_table
+from oscbath.oracle import node_sum
 
 
 def test_sum_rule_m1(m1, quad):
@@ -247,6 +249,46 @@ def test_spectral_route_at_long_times(m1_decay, m1_resonance):
     assert np.max(np.abs(sp.delta0 - pb.delta0)) < 1e-13
 
 
+def test_one_ray_table_serves_every_horizon(m1_decay, m1_resonance):
+    # the ray table takes no times: one build serves 20 and 2,000 lifetimes
+    table = build_ray_table(m1_decay, m1_resonance.z0)
+    gamma = m1_resonance.gamma
+    for lifetimes in (20.0, 2000.0):
+        grid = ob.hybrid_time_grid(1.0, gamma, lifetimes / gamma, 320)
+        pole = np.exp(-1j * m1_resonance.z0 * grid) / m1_resonance.alpha_prime_at_pole
+        spectral = m1_decay.amplitude_spectral(grid).delta0
+        assert np.max(np.abs(pole + table.background(grid) - spectral)) < 1e-13
+
+
+# the seed-3 decay_phases models (omega, lambda, exponent, cutoff) but
+# survival02 and survival12, whose sectors hold a second zero of alpha_II
+SEED_3_MODELS = [
+    (0.983425966685745, 0.07875557898472955, 0.8096407828866048, 3.3839480771022985),
+    (0.6956270056120993, 0.08303652978128999, 1.3488687700996052, 5.832392435389162),
+    (0.5929536044672549, 0.1101337738418159, 2.473308103154632, 4.103822469435331),
+    (1.1789419345435512, 0.3215124834108771, 0.36282551035205024, 7.034710430451965),
+    (0.8241286071838806, 0.45710641621085235, 0.9026618045178143, 2.914100983486717),
+    (1.7081439053036311, 0.010142078188521449, 1.458324484446619, 4.907085017379619),
+    (0.5350106401262051, 0.018718646028297228, 1.9998892042116694, 8.431740219348837),
+    (1.0975087952501943, 0.1720636184120155, 2.5300163756114946, 2.1594796915299224),
+    (0.7648799113728705, 0.19576914932331058, 0.47417669839307175, 3.6651127751500843),
+    (1.562561029754574, 0.2989603474669245, 1.0274581954407023, 6.246372458940868),
+    (0.6465671876659129, 0.34122904127462844, 1.5937685555970407, 2.5647922187818586),
+    (0.9242823536284637, 0.003703903132941654, 2.709637661197955, 7.360923263001053),
+    (1.8385424673681878, 0.13632791544896042, 0.5826195002121366, 3.023415140486667),
+    (0.515459544433448, 0.09821463907691323, 1.1414004985102912, 5.24205788649189),
+]
+
+
+@pytest.mark.parametrize("params", SEED_3_MODELS)
+def test_pole_background_at_zero_on_seed_3_models(params):
+    # the ray panels are bisected until their top Legendre coefficients reach
+    # rounding, so pole + background at t = 0 is 1 to rounding
+    decay = ob.Decay(ob.ModelParams(*params))
+    res = ob.find_resonance(decay)
+    assert abs(decay.amplitude_pole_background(res, [0.0]).delta0[0] - 1.0) <= 1e-13
+
+
 # lambda 0.0037: a peak half-width below 1e-5, so the table has an offset window
 NARROW = ob.build_model(0.9242823536284637, 0.003703903132941654, 2.709637661197955,
                         7.360923263001053)
@@ -328,13 +370,19 @@ GRIDS = ["linspace", "hybrid", "irregular", "nudged", "single", "unsorted"]
 
 @pytest.mark.parametrize("grid", GRIDS)
 def test_node_sum_ray_table(m1_decay, m1_resonance, grid):
-    # the reference model's ray table out to 200 lifetimes, where most late
-    # columns underflow
-    t_max = 200.0 / m1_resonance.gamma
-    table = build_ray_table(m1_decay, m1_resonance.z0, t_max)
-    rates = (-math.sin(table.theta) - 1j * math.cos(table.theta)) * table.s_nodes
-    assert np.mean(rates.real * t_max < -745.2) > 0.3
-    _assert_node_sum(_grid(grid, t_max, m1_resonance.gamma), rates, table.values)
+    # where h*t <= 1 on every panel, the ray table's panel sum is the Gauss
+    # node sum of its own panels; the node weights come back from the moments
+    # by the discrete Legendre transform W_j = w_j sum_k (2k+1)/2 m_k P_k(x_j)
+    table = build_ray_table(m1_decay, m1_resonance.z0)
+    x, w = np.polynomial.legendre.leggauss(table.moments.shape[1])
+    orders = np.arange(x.size)
+    weights = (((orders + 0.5) * table.moments) @ legvander(x, x.size - 1).T * w).ravel()
+    rates = -1j * complex(math.cos(table.theta), -math.sin(table.theta)) * table.s_nodes
+    times = _grid(grid, 1.0 / table.halfwidths.max(), m1_resonance.gamma)
+    got = table.background(times)
+    err = np.abs(got - _extended_sum(times, rates, weights)).astype(float)
+    assert got.shape == np.shape(times)
+    assert np.all(err <= _rounding_bound(times, rates, weights))
 
 
 @pytest.mark.parametrize("grid", GRIDS)
@@ -405,4 +453,4 @@ def test_ray_angle_not_below_pole(m1_decay, m1_resonance):
 def test_ray_angle_out_of_range(m1_decay, m1_resonance, theta):
     # the Gaussian factor of g2 decays along the ray only below pi/4
     with pytest.raises(ValueError, match="pi/4"):
-        build_ray_table(m1_decay, m1_resonance.z0, t_max=1.0, theta=theta)
+        build_ray_table(m1_decay, m1_resonance.z0, theta=theta)
