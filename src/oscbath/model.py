@@ -142,6 +142,9 @@ def spectral_weight_analytic(model: ModelParams, z):
     negative real axis; evaluation on that cut raises
     :class:`BranchCutHit`.
     """
+    if np.ndim(z) == 0 and complex(z).imag != 0.0:
+        # one point off the axis, as the array path takes it, without the masks
+        return complex(_analytic_off_axis(model, np.array([complex(z)]))[0])
     zz = np.asarray(z, dtype=complex)
     n = model.exponent
     if not _is_integer_exponent(n):
@@ -155,15 +158,20 @@ def spectral_weight_analytic(model: ModelParams, z):
     if np.any(axis):
         out[axis] = spectral_weight(model, zz.real[axis])
     nz = ~axis & (zz != 0.0)
-    zn = zz[nz]
+    out[nz] = _analytic_off_axis(model, zz[nz])
+    if np.isscalar(z) or np.ndim(z) == 0:
+        return complex(out)
+    return out
+
+
+def _analytic_off_axis(model: ModelParams, zn: np.ndarray) -> np.ndarray:
+    """g2 at a 1-d complex array off the positive real axis and off 0."""
+    n = model.exponent
     if _is_integer_exponent(n):
         powed = zn ** int(round(n))
     else:
         powed = np.exp(n * np.log(zn))
-    out[nz] = model.prefactor * powed * np.exp(-((zn / model.cutoff) ** 2))
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return complex(out)
-    return out
+    return model.prefactor * powed * np.exp(-((zn / model.cutoff) ** 2))
 
 
 def spectral_weight_jet(model: ModelParams, w):

@@ -1,12 +1,14 @@
 """Command-line interface: config parsing, artifacts, exit codes."""
 
 import argparse
+import gc
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import weakref
 
 from pathlib import Path
 
@@ -544,6 +546,27 @@ def test_one_cauchy_rule_per_model(tmp_path, monkeypatch, capsys, command, model
     monkeypatch.setattr(CauchyRule, "__init__", counted)
     assert run([command, "--config", CONFIGS / "reference.cfg", "--out", tmp_path]) == 0
     assert len(built) == len(set(built)) == models
+    capsys.readouterr()
+
+
+def test_line_tables_built_once_per_rule_and_angle(tmp_path, monkeypatch, capsys):
+    # a survival run turns its rule's tables to the axis for the spectral
+    # table and to the ray angle for the ray table, each once, and keeps no
+    # rule once the run is over
+    built, rules = [], []
+    tables = CauchyRule._line_tables
+
+    def counted(self, theta):
+        built.append((id(self), theta))
+        rules.append(weakref.ref(self))
+        return tables(self, theta)
+
+    monkeypatch.setattr(CauchyRule, "_line_tables", counted)
+    assert run(["survival", "--config", CONFIGS / "reference.cfg", "--out", tmp_path]) == 0
+    assert len(built) == len(set(built)) == 2
+    assert len({rule_id for rule_id, _ in built}) == 1
+    gc.collect()
+    assert all(ref() is None for ref in rules)
     capsys.readouterr()
 
 

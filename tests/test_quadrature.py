@@ -1,6 +1,7 @@
 """The Cauchy rule, adaptive panel quadrature and the Brent root finder
 against QUADPACK, mpmath and SciPy references."""
 
+import cmath
 import math
 from functools import lru_cache, partial
 
@@ -186,6 +187,85 @@ def test_resolvent_on_the_background_ray_matches_mpmath(s):
     z = s * complex(math.cos(math.pi / 5), -math.sin(math.pi / 5))
     got = CauchyRule(model).resolvent_on_ray(s, math.pi / 5)[0]
     assert got == pytest.approx(mp_resolvents(model, z, 1)[0], rel=RULE_RTOL)
+
+
+def mp_axis_resolvent(model, x: float) -> complex:
+    """R_1 on the axis from below, PV + i pi g2(x), at any x > 0, at 30 digits."""
+    with mp.workdps(30):
+        g2, c = mp_g2_fn(model), mp.mpf(x)
+        # the subtracted integrand on [0, 2x], where the PV of 1/(x - w) vanishes
+        pv = mp.quad(lambda w: (g2(w) - g2(c)) / (c - w), [0, c, 2 * c])
+        tail = sorted({2 * x, *(k * model.cutoff for k in (0.5, 1.0, 2.0, 4.0) if k * model.cutoff > 2 * x)})
+        pv += mp.quad(lambda w: g2(w) / (c - w), [*tail, mp.inf])
+        return complex(pv, mp.pi * g2(c))
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 5])
+@pytest.mark.parametrize("exponent", [0.36, 1.0, 2.7])
+def test_line_sums_match_mpmath(exponent, theta):
+    # one call from 1e-9 to 10 cutoffs: each point sums its band of panels
+    # node by node, the panels inside by the multipole series and those
+    # outside by the Taylor series
+    model = ob.ModelParams(1.0, 0.1, exponent, 5.0)
+    s = model.cutoff * np.geomspace(1e-9, 10.0, 12)
+    got = CauchyRule(model).resolvent_on_ray(s, theta)
+    for si, value in zip(s, got):
+        ref = (mp_axis_resolvent(model, si) if theta == 0.0
+               else mp_resolvents(model, si * cmath.exp(-1j * theta), 1)[0])
+        assert value == pytest.approx(ref, rel=RULE_RTOL), si
+
+
+def test_line_sums_take_points_in_any_order():
+    # duplicates, zeros and a shuffle give the sorted call's values; more
+    # points than one block of series factors holds agree with the direct sum
+    rule = CauchyRule(FRACTIONAL)
+    rng = np.random.default_rng(3)
+    s = FRACTIONAL.cutoff * np.geomspace(1e-10, 20.0, 3 * quadrature._LINE_POINTS)
+    s = np.concatenate([[0.0, 0.0], s, s[::7]])
+    for theta in (0.0, math.pi / 5):
+        ordered = np.sort(s)
+        ref = rule.resolvent_on_ray(ordered, theta)
+        shuffled = s[rng.permutation(s.size)]
+        got = rule.resolvent_on_ray(shuffled, theta)
+        assert np.array_equal(got, ref[np.searchsorted(ordered, shuffled)])
+        turn = cmath.exp(-1j * theta)
+        for si, value in zip(ordered[::97], ref[::97]):
+            assert value == pytest.approx(rule.resolvent(si * turn), rel=1e-14, abs=0.0)
+        empty = rule.resolvent_on_ray(np.array([]), theta)
+        assert empty.shape == (0,) and empty.dtype == complex
+    with pytest.raises(ValueError):
+        rule.resolvent_on_ray(np.array([1.0, -1e-3]))
+
+
+@pytest.mark.parametrize("exponent", [0.25, 3.0])
+@pytest.mark.parametrize("cutoff", [1e-30, 1e30])
+def test_line_sums_at_the_domain_extremes(exponent, cutoff):
+    # a RuntimeWarning fails the test: the series factors neither overflow nor
+    # divide by zero at s = 0, beyond the rule's last panel or at lambda -> 0
+    omega = 0.5 * cutoff
+    limit = math.sqrt(omega / (0.5 * cutoff**exponent * math.gamma(exponent / 2.0)))
+    decay = ob.Decay(ob.ModelParams(omega, 1e-8 * limit, exponent, cutoff), QUAD)
+    s = np.concatenate([[0.0], cutoff * np.geomspace(1e-12, 100.0, 60)])
+    for theta in (0.0, math.pi / 5):
+        got = decay.rule.resolvent_on_ray(s, theta)
+        turn = cmath.exp(-1j * theta)
+        for si, value in zip(s[::6], got[::6]):
+            assert value == pytest.approx(decay.rule.resolvent(si * turn), rel=1e-14, abs=0.0)
+    assert np.all(np.isfinite(build_spectral_table(decay).amplitude(np.array([0.0, 1.0 / cutoff]))))
+
+
+@pytest.mark.parametrize("exponent", [1.0, 3.0, 0.652113547996434])
+def test_scalar_evaluations_match_the_array_path_bitwise(exponent):
+    # the Newton search's one-point g2 and R_1 skip the array path's masks
+    # and the power, not its arithmetic
+    model = ob.ModelParams(1.0, 0.1, exponent, 5.0)
+    rule = CauchyRule(model)
+    for z in (0.83 - 0.2j, 1.3 + 2.0j, -0.7 + 0.3j, 2.0 - 1e-9j, 1e-7 - 1e-7j):
+        assert ob.spectral_weight_analytic(model, z) == ob.spectral_weight_analytic(
+            model, np.array([z]))[0]
+        lower = z.conjugate() if z.imag > 0 else z
+        value = complex(np.sum(rule.weights / (lower - rule.nodes) ** 1))
+        assert rule.resolvent(z, 1) == (value.conjugate() if z.imag > 0 else value)
 
 
 # six poles of the bench's pole_scan on seed 3, with arg z0 from -0.41 to -1.52,
